@@ -155,11 +155,13 @@ inline void printHeading(const char *Title, const char *Detail) {
 // BENCH_kernels.json: the execution-engine trajectory
 //===----------------------------------------------------------------------===//
 
-/// Emits the kernel-engine comparison tracked from PR 5 on: per GEMM/conv
-/// shape class naive-vs-packed, per DFT shape interpreted-vs-program, and
-/// per zoo model the four engine combinations. Every timed pair is first
-/// checked for element-identical outputs — a divergence exits non-zero, so
-/// CI fails on correctness regressions, never on timing. Shared by
+/// Emits the kernel-engine trajectory: per GEMM/conv shape class the
+/// packed kernel at every registry tier, per DFT shape the compiled tape,
+/// fused-vs-unfused transformer latency, and per zoo model the engine's
+/// latency. Cross-tier and fused-attention pairs are checked before timing
+/// (scalar vs avx2 element-identical; avx2fma and fused attention within
+/// their documented tolerance) — a divergence exits non-zero, so CI fails
+/// on correctness regressions, never on timing. Shared by
 /// `bench_table6_latency --json` and `bench_micro_kernels --json`.
 inline int emitKernelsJson(const char *Path) {
   FILE *Out = std::fopen(Path, "w");
@@ -167,7 +169,7 @@ inline int emitKernelsJson(const char *Path) {
     std::fprintf(stderr, "cannot open %s\n", Path);
     return 1;
   }
-  int Guard = 0; // Set non-zero on any packed-vs-naive divergence.
+  int Guard = 0; // Set non-zero on any guarded divergence.
   auto Check = [&](const Tensor &A, const Tensor &B, const char *What) {
     for (int64_t I = 0; I < A.numElements(); ++I)
       if (A.at(I) != B.at(I)) {
@@ -210,12 +212,6 @@ inline int emitKernelsJson(const char *Path) {
                "  \"threads\": 1,\n",
                std::thread::hardware_concurrency());
 
-  // --- GEMM shape classes: naive row-walk vs packed register-blocked ---
-  printHeading("Kernel engines: naive vs packed, interpreted vs program",
-               "Every pair is checked element-identical before timing "
-               "(the CI perf-smoke correctness guard).");
-  TablePrinter TG({"GEMM shape", "Naive ms", "Packed ms", "Speedup"});
-  std::fprintf(Out, "  \"gemm_shapes\": [\n");
   const struct {
     const char *Label;
     int64_t M, N, K;
@@ -224,45 +220,6 @@ inline int emitKernelsJson(const char *Path) {
       {"projection 64x256x256", 64, 256, 256},
       {"ffn 64x3072x768", 64, 3072, 768},
   };
-  Rng R(11);
-  for (size_t S = 0; S < sizeof(GemmShapes) / sizeof(GemmShapes[0]); ++S) {
-    const auto &Sh = GemmShapes[S];
-    Tensor A(Shape({Sh.M, Sh.K})), B(Shape({Sh.K, Sh.N}));
-    Tensor CN(Shape({Sh.M, Sh.N})), CP(Shape({Sh.M, Sh.N}));
-    fillRandom(A, R);
-    fillRandom(B, R);
-    std::vector<const Tensor *> In{&A, &B};
-    KernelConfig Naive;
-    Naive.UsePackedGemm = false;
-    KernelConfig Packed;
-    auto Time = [&](Tensor &C, const KernelConfig &Cfg) {
-      std::vector<double> T;
-      detail::runMatMulKernel(OpKind::MatMul, AttrMap(), In, C, Cfg);
-      for (int I = 0; I < Reps; ++I) {
-        WallTimer W;
-        detail::runMatMulKernel(OpKind::MatMul, AttrMap(), In, C, Cfg);
-        T.push_back(W.millis());
-      }
-      return Median(T);
-    };
-    double NaiveMs = Time(CN, Naive), PackedMs = Time(CP, Packed);
-    Check(CN, CP, Sh.Label);
-    std::fprintf(Out,
-                 "    {\"shape\": \"%s\", \"naive_ms\": %.4f, "
-                 "\"packed_ms\": %.4f, \"speedup\": %.3f}%s\n",
-                 Sh.Label, NaiveMs, PackedMs,
-                 PackedMs > 0 ? NaiveMs / PackedMs : 0.0,
-                 S + 1 < sizeof(GemmShapes) / sizeof(GemmShapes[0]) ? ","
-                                                                    : "");
-    TG.addRow({Sh.Label, fmtMs(NaiveMs), fmtMs(PackedMs),
-               fmtRatio(NaiveMs / PackedMs)});
-  }
-  std::fprintf(Out, "  ],\n");
-  TG.print();
-
-  // --- Conv shape classes: direct vs im2col + packed ---
-  TablePrinter TC({"Conv shape", "Direct ms", "Packed ms", "Speedup"});
-  std::fprintf(Out, "  \"conv_shapes\": [\n");
   const struct {
     const char *Label;
     Shape X, W;
@@ -275,50 +232,17 @@ inline int emitKernelsJson(const char *Path) {
       {"3d 3x3x3 16ch", Shape({1, 16, 8, 24, 24}), Shape({32, 16, 3, 3, 3}),
        {1, 1, 1}, {1, 1, 1}},
   };
-  for (size_t S = 0; S < sizeof(ConvShapes) / sizeof(ConvShapes[0]); ++S) {
-    const auto &Sh = ConvShapes[S];
-    Tensor X(Sh.X), W(Sh.W);
-    fillRandom(X, R);
-    fillRandom(W, R);
-    AttrMap Attrs;
-    Attrs.set("strides", Sh.Strides);
-    Attrs.set("pads", Sh.Pads);
-    Shape OutShape = inferShape(OpKind::Conv, Attrs, {Sh.X, Sh.W});
-    Tensor CN(OutShape), CP(OutShape);
-    std::vector<const Tensor *> In{&X, &W};
-    KernelConfig Naive;
-    Naive.UsePackedGemm = false;
-    auto Time = [&](Tensor &C, const KernelConfig &Cfg) {
-      std::vector<double> T;
-      detail::runConvKernel(OpKind::Conv, Attrs, In, C, Cfg);
-      for (int I = 0; I < Reps; ++I) {
-        WallTimer Wt;
-        detail::runConvKernel(OpKind::Conv, Attrs, In, C, Cfg);
-        T.push_back(Wt.millis());
-      }
-      return Median(T);
-    };
-    double DirectMs = Time(CN, Naive), PackedMs = Time(CP, KernelConfig());
-    Check(CN, CP, Sh.Label);
-    std::fprintf(Out,
-                 "    {\"shape\": \"%s\", \"direct_ms\": %.4f, "
-                 "\"packed_ms\": %.4f, \"speedup\": %.3f}%s\n",
-                 Sh.Label, DirectMs, PackedMs,
-                 PackedMs > 0 ? DirectMs / PackedMs : 0.0,
-                 S + 1 < sizeof(ConvShapes) / sizeof(ConvShapes[0]) ? ","
-                                                                    : "");
-    TC.addRow({Sh.Label, fmtMs(DirectMs), fmtMs(PackedMs),
-               fmtRatio(DirectMs / PackedMs)});
-  }
-  std::fprintf(Out, "  ],\n");
-  TC.print();
+  Rng R(11);
 
-  // --- Kernel registry: per-tier timings on the same shape classes ---
-  // The registry's dispatch dimension: each GEMM/conv shape class timed at
-  // every forced tier (a tier the host cannot execute clamps down, and the
-  // row records the level that actually resolved). Guards: scalar-vs-avx2
-  // must be element-identical (the bit-exact tier contract); avx2fma is
-  // held to the documented FMA tolerance.
+  // --- Kernel registry: per-tier timings of the GEMM/conv shape classes ---
+  // Each shape class timed at every forced tier (a tier the host cannot
+  // execute clamps down, and the row records the level that actually
+  // resolved). Guards: scalar-vs-avx2 must be element-identical (the
+  // bit-exact tier contract); avx2fma is held to the documented FMA
+  // tolerance.
+  printHeading("Kernel engines: packed GEMM/conv per tier, compiled tapes",
+               "Every cross-tier pair is checked before timing (the CI "
+               "perf-smoke correctness guard).");
   {
     KernelConfig AutoCfg;
     std::fprintf(Out,
@@ -401,8 +325,8 @@ inline int emitKernelsJson(const char *Path) {
     TR.print();
   }
 
-  // --- Fused expressions: tree-walk interpreter vs compiled program ---
-  TablePrinter TD({"DFT shape", "Treewalk ms", "Program ms", "Speedup"});
+  // --- Fused expressions: the compiled DFT program ---
+  TablePrinter TD({"DFT shape", "Program ms"});
   std::fprintf(Out, "  \"dft\": [\n");
   {
     auto BuildChain = [](uint64_t Seed, bool WithTranspose) {
@@ -431,130 +355,78 @@ inline int emitKernelsJson(const char *Path) {
       CompiledModel M = cantFail(
           compileModel(BuildChain(3 + S, DftShapes[S].Transpose), Opt));
       std::vector<Tensor> Inputs = makeInputs(M, 7);
-      auto Time = [&](bool Programs, std::vector<Tensor> &OutTensors) {
-        CompiledModel MV = M;
-        MV.Codegen.UseCompiledPrograms = Programs;
-        ExecutionContext E(MV, sequentialExec());
-        OutTensors = E.run(Inputs);
-        std::vector<double> T;
-        for (int I = 0; I < Reps; ++I) {
-          WallTimer Wt;
-          E.run(Inputs);
-          T.push_back(Wt.millis());
-        }
-        return Median(T);
-      };
-      std::vector<Tensor> OutTree, OutProg;
-      double TreeMs = Time(false, OutTree);
-      double ProgMs = Time(true, OutProg);
-      Check(OutTree[0], OutProg[0], DftShapes[S].Label);
-      std::fprintf(Out,
-                   "    {\"shape\": \"%s\", \"treewalk_ms\": %.4f, "
-                   "\"program_ms\": %.4f, \"speedup\": %.3f}%s\n",
-                   DftShapes[S].Label, TreeMs, ProgMs,
-                   ProgMs > 0 ? TreeMs / ProgMs : 0.0,
+      ExecutionContext E(M, sequentialExec());
+      E.run(Inputs);
+      std::vector<double> T;
+      for (int I = 0; I < Reps; ++I) {
+        WallTimer Wt;
+        E.run(Inputs);
+        T.push_back(Wt.millis());
+      }
+      double ProgMs = Median(T);
+      std::fprintf(Out, "    {\"shape\": \"%s\", \"program_ms\": %.4f}%s\n",
+                   DftShapes[S].Label, ProgMs,
                    S + 1 < sizeof(DftShapes) / sizeof(DftShapes[0]) ? ","
                                                                     : "");
-      TD.addRow({DftShapes[S].Label, fmtMs(TreeMs), fmtMs(ProgMs),
-                 fmtRatio(TreeMs / ProgMs)});
+      TD.addRow({DftShapes[S].Label, fmtMs(ProgMs)});
     }
   }
   std::fprintf(Out, "  ],\n");
   TD.print();
 
-  // --- Transformer fusion: blocked attention/layernorm + GEMM epilogues ---
-  // Two toggles, two guarantees: FuseAttention/FuseNorm trade bit-identity
-  // for a single softmax pass (tolerance guard), FuseGemmEpilogue folds
-  // eltwise tails into the GEMM loop with no numeric change (exact guard).
-  TablePrinter TF({"Model", "Unfused ms", "Fused ms", "Speedup",
-                   "Epilogue-off ms"});
+  // --- Transformer fusion: blocked attention/layernorm ---
+  // FuseAttention/FuseNorm trade bit-identity for a single softmax pass,
+  // so fused-vs-unfused outputs are held to the tolerance guard.
+  TablePrinter TF({"Model", "Unfused ms", "Fused ms", "Speedup"});
   std::fprintf(Out, "  \"transformer_fusion\": [\n");
   const char *TfModels[] = {"TinyBERT", "BERT-base", "GPT-2"};
   for (size_t S = 0; S < sizeof(TfModels) / sizeof(TfModels[0]); ++S) {
-    auto WithToggles = [&](bool Attention, bool Epilogue) {
+    auto WithFusion = [&](bool Attention) {
       CompileOptions Opt;
       Opt.Codegen.FuseAttention = Attention;
       Opt.Codegen.FuseNorm = Attention;
-      Opt.Codegen.FuseGemmEpilogue = Epilogue;
       return cantFail(compileModel(buildModel(TfModels[S]), Opt));
     };
-    CompiledModel Fused = WithToggles(true, true);
-    CompiledModel Unfused = WithToggles(false, true);
-    CompiledModel NoEpilogue = WithToggles(true, false);
+    CompiledModel Fused = WithFusion(true);
+    CompiledModel Unfused = WithFusion(false);
     std::vector<Tensor> Inputs = makeInputs(Fused, 11);
     {
       ExecutionContext EF(Fused, sequentialExec());
       ExecutionContext EU(Unfused, sequentialExec());
-      ExecutionContext EN(NoEpilogue, sequentialExec());
       std::vector<Tensor> GotF = EF.run(Inputs);
       std::vector<Tensor> GotU = EU.run(Inputs);
-      std::vector<Tensor> GotN = EN.run(Inputs);
-      for (size_t O = 0; O < GotF.size(); ++O) {
+      for (size_t O = 0; O < GotF.size(); ++O)
         CheckClose(GotU[O], GotF[O], TfModels[S]);
-        Check(GotF[O], GotN[O], TfModels[S]); // Epilogue fold is exact.
-      }
     }
     double FusedMs = medianLatencyMs(Fused);
     double UnfusedMs = medianLatencyMs(Unfused);
-    double NoEpilogueMs = medianLatencyMs(NoEpilogue);
     std::fprintf(Out,
                  "    {\"name\": \"%s\", \"unfused_ms\": %.4f, "
-                 "\"fused_ms\": %.4f, \"speedup\": %.3f, "
-                 "\"epilogue_off_ms\": %.4f}%s\n",
+                 "\"fused_ms\": %.4f, \"speedup\": %.3f}%s\n",
                  TfModels[S], UnfusedMs, FusedMs,
-                 FusedMs > 0 ? UnfusedMs / FusedMs : 0.0, NoEpilogueMs,
+                 FusedMs > 0 ? UnfusedMs / FusedMs : 0.0,
                  S + 1 < sizeof(TfModels) / sizeof(TfModels[0]) ? "," : "");
     std::fflush(Out);
     TF.addRow({TfModels[S], fmtMs(UnfusedMs), fmtMs(FusedMs),
-               fmtRatio(UnfusedMs / FusedMs), fmtMs(NoEpilogueMs)});
+               fmtRatio(UnfusedMs / FusedMs)});
   }
   std::fprintf(Out, "  ],\n");
   TF.print();
 
-  // --- Zoo models: the four engine combinations ---
-  TablePrinter TM({"Model", "Interp+Naive", "Program", "Packed",
-                   "Program+Packed", "Speedup"});
+  // --- Zoo models: the engine's sequential latency ---
+  TablePrinter TM({"Model", "Engine ms"});
   std::fprintf(Out, "  \"models\": [\n");
   const char *Models[] = {"EfficientNet-B0", "YOLO-V4",      "S3D",
                           "U-Net",           "Faster R-CNN", "Mask R-CNN",
                           "GPT-2"};
   for (size_t S = 0; S < sizeof(Models) / sizeof(Models[0]); ++S) {
-    auto Variant = [&](bool Programs, bool Packed) {
-      CompileOptions Opt;
-      Opt.Codegen.UseCompiledPrograms = Programs;
-      Opt.Codegen.Kernels.UsePackedGemm = Packed;
-      return cantFail(compileModel(buildModel(Models[S]), Opt));
-    };
-    CompiledModel Legacy = Variant(false, false);
-    CompiledModel ProgOnly = Variant(true, false);
-    CompiledModel PackOnly = Variant(false, true);
-    CompiledModel Full = Variant(true, true);
-    // Correctness guard: all four engines must agree bit-for-bit.
-    std::vector<Tensor> Inputs = makeInputs(Legacy, 11);
-    {
-      ExecutionContext E0(Legacy, sequentialExec());
-      std::vector<Tensor> Want = E0.run(Inputs);
-      for (CompiledModel *MV : {&ProgOnly, &PackOnly, &Full}) {
-        ExecutionContext EV(*MV, sequentialExec());
-        std::vector<Tensor> Got = EV.run(Inputs);
-        for (size_t O = 0; O < Want.size(); ++O)
-          Check(Want[O], Got[O], Models[S]);
-      }
-    }
-    double LegacyMs = medianLatencyMs(Legacy);
-    double ProgMs = medianLatencyMs(ProgOnly);
-    double PackMs = medianLatencyMs(PackOnly);
-    double FullMs = medianLatencyMs(Full);
-    std::fprintf(Out,
-                 "    {\"name\": \"%s\", \"interpreted_naive_ms\": %.4f, "
-                 "\"program_ms\": %.4f, \"packed_ms\": %.4f, "
-                 "\"program_packed_ms\": %.4f, \"speedup\": %.3f}%s\n",
-                 Models[S], LegacyMs, ProgMs, PackMs, FullMs,
-                 FullMs > 0 ? LegacyMs / FullMs : 0.0,
+    CompiledModel M = cantFail(compileModel(buildModel(Models[S])));
+    double Ms = medianLatencyMs(M);
+    std::fprintf(Out, "    {\"name\": \"%s\", \"engine_ms\": %.4f}%s\n",
+                 Models[S], Ms,
                  S + 1 < sizeof(Models) / sizeof(Models[0]) ? "," : "");
     std::fflush(Out);
-    TM.addRow({Models[S], fmtMs(LegacyMs), fmtMs(ProgMs), fmtMs(PackMs),
-               fmtMs(FullMs), fmtRatio(LegacyMs / FullMs)});
+    TM.addRow({Models[S], fmtMs(Ms)});
   }
   std::fprintf(Out, "  ],\n  \"correctness_guard\": \"%s\"\n}\n",
                Guard == 0 ? "pass" : "FAIL");

@@ -2,9 +2,8 @@
 //
 // Micro-benchmarks (google-benchmark) isolating the mechanisms behind the
 // end-to-end results: fused vs unfused elementwise chains, data-movement
-// folding vs materialization, DFT chunk-size sensitivity, interpreted vs
-// compiled-program evaluation, and the GEMM kernels (naive, tiled,
-// packed) the auto-tuner searches.
+// folding vs materialization, DFT chunk-size sensitivity, compiled-program
+// evaluation, and the packed GEMM kernel the auto-tuner searches.
 //
 // `--json <path>` bypasses google-benchmark and emits the execution-engine
 // comparison (BENCH_kernels.json) via the shared hand-timed harness in
@@ -112,18 +111,7 @@ void BM_ChunkSize(benchmark::State &State) {
 }
 BENCHMARK(BM_ChunkSize)->Arg(16)->Arg(64)->Arg(256)->Arg(512);
 
-// Engine dimension: the same fused chain interpreted per chunk by the
-// tree-walk vs executed as a compiled instruction tape.
-void BM_ChainTreewalk(benchmark::State &State) {
-  CompileOptions Opt;
-  Opt.EnableGraphRewriting = false;
-  Opt.Codegen.UseCompiledPrograms = false;
-  CompiledModel M =
-      cantFail(compileModel(elementwiseChain(State.range(0), 8), Opt));
-  runModel(State, M);
-}
-BENCHMARK(BM_ChainTreewalk)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
+// The fused chain executed as a compiled instruction tape.
 void BM_ChainProgram(benchmark::State &State) {
   CompileOptions Opt;
   Opt.EnableGraphRewriting = false;
@@ -210,28 +198,6 @@ void BM_FusedAttentionTier(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * Batches * S * S * Dh * 2);
 }
 BENCHMARK(BM_FusedAttentionTier)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_MatmulTiled(benchmark::State &State) {
-  int64_t N = 256;
-  Rng R(5);
-  Tensor A(Shape({N, N})), B(Shape({N, N})), C(Shape({N, N}));
-  fillRandom(A, R);
-  fillRandom(B, R);
-  KernelConfig Config;
-  Config.TileM = static_cast<int>(State.range(0));
-  Config.TileN = static_cast<int>(State.range(1));
-  Config.TileK = static_cast<int>(State.range(2));
-  for (auto _ : State) {
-    matmulTiled(A.data(), B.data(), C.data(), N, N, N, Config);
-    benchmark::ClobberMemory();
-  }
-  State.SetItemsProcessed(State.iterations() * 2 * N * N * N);
-}
-BENCHMARK(BM_MatmulTiled)
-    ->Args({8, 8, 8})
-    ->Args({32, 128, 64})
-    ->Args({64, 256, 64})
-    ->Args({256, 256, 256});
 
 } // namespace
 

@@ -4,11 +4,13 @@
 #
 #   BENCH_e2e.json     — per-model wall latency of the fully optimized
 #                        pipeline under sequential vs wavefront dispatch.
-#   BENCH_kernels.json — the execution-engine comparison: naive-vs-packed
-#                        GEMM/conv per shape class, interpreted-vs-program
-#                        DFT evaluation, and the four engine combinations
-#                        per zoo model (exits non-zero if any engine pair
-#                        diverges — a correctness guard, not a timing one).
+#   BENCH_kernels.json — the execution-engine trajectory: packed GEMM/conv
+#                        per shape class at every kernel tier, the compiled
+#                        DFT tape, fused-vs-unfused transformers, and the
+#                        engine's latency per zoo model (exits non-zero if
+#                        scalar and avx2 differ, or avx2fma / fused
+#                        attention leave their tolerance — a correctness
+#                        guard, not a timing one).
 #
 # Usable locally:
 #   ./scripts/bench_json.sh                 # build/ + both JSON files

@@ -6,15 +6,19 @@
 #   ./scripts/ci.sh Debug      # one configuration
 #   ./scripts/ci.sh tsan       # ThreadSanitizer build, smoke subset only
 #                              # (guards the wavefront/serving concurrency)
+#   ./scripts/ci.sh asan       # AddressSanitizer + UBSan Debug build, full
+#                              # tier-1 suite; any report halts the run
 #   ./scripts/ci.sh cache      # compilation-cache smoke: the roundtrip
 #                              # example twice against one CacheDir (the
 #                              # second process must hit), then the fig9b
 #                              # cold/warm sweep into BENCH_fig9b.json
 #   ./scripts/ci.sh perf       # perf smoke: kernel + e2e benches in
 #                              # Release; fails on crashes or on the
-#                              # engine correctness guards (packed vs
-#                              # naive, program vs treewalk divergence),
-#                              # never on timing
+#                              # benches' guards (scalar vs avx2 exact,
+#                              # avx2fma and fused attention within
+#                              # tolerance), never on timing. Engine
+#                              # exactness is gated in tier-1 by the
+#                              # fuzz matrix's `exact` oracle sweep
 #   ./scripts/ci.sh serving    # serving smoke: the closed-loop load
 #                              # generator briefly (--quick) into
 #                              # BENCH_serving.json; fails on crashes or
@@ -57,6 +61,22 @@ for CONFIG in "${CONFIGS[@]}"; do
     ctest --test-dir "$BUILD_DIR" -L smoke --output-on-failure -j "$JOBS"
     continue
   fi
+  if [ "$CONFIG" = "asan" ]; then
+    BUILD_DIR="build-ci-asan"
+    echo "=== [asan] configure ==="
+    # -fno-sanitize-recover=all turns every UBSan finding into an abort,
+    # so a report fails its test instead of scrolling past in the log.
+    cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
+          -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+          -DDNNFUSION_BUILD_BENCH=OFF -DDNNFUSION_BUILD_EXAMPLES=ON
+    echo "=== [asan] build ==="
+    cmake --build "$BUILD_DIR" -j "$JOBS"
+    echo "=== [asan] full tier-1 suite under ASan + UBSan ==="
+    ASAN_OPTIONS=halt_on_error=1 \
+      UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+      ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+    continue
+  fi
   if [ "$CONFIG" = "perf" ]; then
     BUILD_DIR="build-ci-perf"
     echo "=== [perf] configure ==="
@@ -67,8 +87,9 @@ for CONFIG in "${CONFIGS[@]}"; do
     cmake --build "$BUILD_DIR" -j "$JOBS" \
           --target bench_table6_latency bench_fig7_breakdown
     echo "=== [perf] kernel engines (BENCH_kernels.json) ==="
-    # Exits non-zero when any engine pair (packed vs naive, program vs
-    # treewalk) produces different bytes — the correctness guard.
+    # Exits non-zero when scalar and avx2 produce different bytes, or
+    # avx2fma / fused attention leave their documented tolerance — the
+    # correctness guard. Engine-vs-oracle exactness is a tier-1 test.
     "$BUILD_DIR/bench_table6_latency" --json BENCH_kernels.json
     echo "=== [perf] end-to-end latency (BENCH_e2e.json) ==="
     "$BUILD_DIR/bench_fig7_breakdown" --json BENCH_e2e.json

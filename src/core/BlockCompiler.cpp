@@ -9,7 +9,6 @@
 #include "support/Error.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 
 using namespace dnnfusion;
@@ -294,56 +293,6 @@ struct Builder {
     return false;
   }
 
-  /// True when every Leaf of \p T whose slot is in \p IsChainSlot is read
-  /// through an identity index mapping (no folded movement, no broadcast,
-  /// no Concat routing anywhere on its root path). Such leaves read output
-  /// element i of an earlier chain step exactly at flat index i, which is
-  /// what makes per-row-range epilogue evaluation safe.
-  static bool chainLeavesIdentity(const DftTree &T,
-                                  const std::vector<char> &IsChainSlot) {
-    std::function<bool(int, bool)> Visit = [&](int Idx,
-                                               bool Identity) -> bool {
-      const DftNode &N = T.Nodes[static_cast<size_t>(Idx)];
-      if (N.K == DftNode::Kind::Leaf)
-        return Identity || N.BufferSlot < 0 ||
-               !IsChainSlot[static_cast<size_t>(N.BufferSlot)];
-      bool Routed = N.K == DftNode::Kind::Router;
-      for (const DftEdge &E : N.Children)
-        if (!Visit(E.Child, Identity && !Routed && chainIsIdentity(E.Maps)))
-          return false;
-      return true;
-    };
-    return T.Root >= 0 && Visit(T.Root, true);
-  }
-
-  /// Marks each MatMul/Gemm RefKernel step with the length of the run of
-  /// immediately following Expression steps that qualify as fused
-  /// epilogues: same output shape as the GEMM, and reading the GEMM result
-  /// (or an earlier epilogue of the same run) only through identity
-  /// leaves. Annotation only — executeBlock folds the run into the
-  /// kernel's row loop iff CodegenOptions::FuseGemmEpilogue is on.
-  void annotateEpilogues() {
-    for (size_t I = 0; I < Out.Steps.size(); ++I) {
-      CompiledStep &K = Out.Steps[I];
-      if (K.K != CompiledStep::Kind::RefKernel ||
-          (K.Op != OpKind::MatMul && K.Op != OpKind::Gemm))
-        continue;
-      std::vector<char> ChainSlot(static_cast<size_t>(Out.numSlots()), 0);
-      ChainSlot[static_cast<size_t>(K.OutputSlot)] = 1;
-      int Run = 0;
-      for (size_t J = I + 1; J < Out.Steps.size(); ++J) {
-        const CompiledStep &E = Out.Steps[J];
-        if (E.K != CompiledStep::Kind::Expression ||
-            !(E.OutShape == K.OutShape) || E.Program.empty() ||
-            !chainLeavesIdentity(E.Tree, ChainSlot))
-          break;
-        ChainSlot[static_cast<size_t>(E.OutputSlot)] = 1;
-        ++Run;
-      }
-      K.EpilogueSteps = Run;
-    }
-  }
-
   /// Renumbers pending local slots to follow the final external count.
   void finalizeSlots() {
     int Shift =
@@ -423,8 +372,6 @@ struct Builder {
       if (Step.K == CompiledStep::Kind::Expression)
         Step.Program = DftProgram::compile(Step.Tree);
 
-    annotateEpilogues();
-
     return std::move(Out);
   }
 };
@@ -463,20 +410,13 @@ void dnnfusion::executeBlock(const CompiledBlock &Block, const BlockIo &Io,
   // without recompiling; the compile-time DispatchLevel stamp is audit).
   KernelLevel Level = effectiveKernelLevel(Options.Kernels);
 
-  for (size_t SI = 0; SI < Block.Steps.size(); ++SI) {
-    const CompiledStep &Step = Block.Steps[SI];
+  for (const CompiledStep &Step : Block.Steps) {
     float *OutPtr = Io.LocalPtrs[static_cast<size_t>(Step.OutputSlot) -
                                  Io.Externals.size()];
     if (Step.K == CompiledStep::Kind::Expression) {
-      if (Options.UseCompiledPrograms && !Step.Program.empty()) {
-        if (Rt.Counters)
-          ++Rt.Counters->ProgramSteps;
-        Step.Program.execute(Slots, OutPtr, Options.ChunkSize, Level);
-      } else {
-        if (Rt.Counters)
-          ++Rt.Counters->TreeWalkSteps;
-        Step.Tree.evaluate(Slots, OutPtr, Options.ChunkSize);
-      }
+      if (Rt.Counters)
+        ++Rt.Counters->ProgramSteps;
+      Step.Program.execute(Slots, OutPtr, Options.ChunkSize, Level);
       continue;
     }
     if (Step.K == CompiledStep::Kind::FusedAttention) {
@@ -527,30 +467,6 @@ void dnnfusion::executeBlock(const CompiledBlock &Block, const BlockIo &Io,
     KRt.PackScratch = Rt.PackScratch;
     KRt.PackScratchElems = Rt.PackScratchElems;
     KRt.Counters = Rt.Counters;
-
-    // Fold the annotated epilogue run into the GEMM's row loop: each
-    // worker evaluates the epilogue tapes over exactly the flat output
-    // range it just produced. Identity-leaf annotation (see
-    // annotateEpilogues) guarantees every chain read stays inside that
-    // range, so concurrent workers never touch each other's rows.
-    int Folded = Options.FuseGemmEpilogue ? Step.EpilogueSteps : 0;
-    std::function<void(int64_t, int64_t)> Epilogue;
-    if (Folded > 0) {
-      Epilogue = [&Block, &Io, &Slots, &Options, SI, Folded,
-                  Level](int64_t Begin, int64_t End) {
-        for (int E = 1; E <= Folded; ++E) {
-          const CompiledStep &ES = Block.Steps[SI + static_cast<size_t>(E)];
-          float *EOut = Io.LocalPtrs[static_cast<size_t>(ES.OutputSlot) -
-                                     Io.Externals.size()];
-          ES.Program.executeRange(Slots, EOut, Begin, End, Options.ChunkSize,
-                                  Level);
-        }
-      };
-      KRt.Epilogue = &Epilogue;
-      if (Rt.Counters)
-        Rt.Counters->GemmEpilogueSteps += Folded;
-    }
     runRefKernel(Step.Op, Step.Attrs, Inputs, OutView, Options.Kernels, KRt);
-    SI += static_cast<size_t>(Folded);
   }
 }

@@ -47,21 +47,6 @@ struct CodegenOptions {
   bool MaterializeShared = true;
   /// Elements per evaluation chunk (<= DftMaxChunk).
   int ChunkSize = 256;
-  /// Execute expression steps through the compiled instruction tape
-  /// (DftProgram); false = the legacy recursive tree-walk reference path.
-  /// Bit-identical either way — a perf/debugging toggle, not a semantic
-  /// one. Tapes are always lowered at compileBlock time so the toggle can
-  /// flip per execution without recompiling.
-  bool UseCompiledPrograms = true;
-  /// Run elementwise expression steps that follow a MatMul/Gemm step and
-  /// read it row-contiguously as epilogues inside the GEMM's parallel row
-  /// loop (no extra memory pass over the intermediate). Bit-identical to
-  /// the unfused step sequence — chunk partitioning never changes values —
-  /// so like UseCompiledPrograms this is an engine knob, flippable per
-  /// execution without recompiling (compileBlock always annotates the
-  /// foldable runs). Epilogues always execute through the compiled tape,
-  /// even under UseCompiledPrograms = false.
-  bool FuseGemmEpilogue = true;
   /// Compile fusion blocks that exactly cover a matched attention
   /// subgraph (QK^T -> scale -> mask -> Softmax -> V) into one
   /// single-pass online-softmax step (ops/KernelsAttention). The online
@@ -79,7 +64,7 @@ struct CodegenOptions {
   /// plan-level carving of layernorm groups like FuseAttention.
   bool FuseNorm = true;
   /// Tunables of the Many-to-Many kernels executed by RefKernel steps
-  /// (packed-GEMM engine switches and blocking parameters).
+  /// (packed-GEMM blocking parameters and the dispatch tier).
   KernelConfig Kernels;
 };
 
@@ -106,17 +91,10 @@ struct CompiledStep {
   std::vector<int> InputSlots;
   std::vector<Shape> InputShapes;
 
-  /// RefKernel MatMul/Gemm only: the next EpilogueSteps Expression steps
-  /// of the block are elementwise epilogues of this GEMM — same output
-  /// domain, reading the GEMM result (and each other) only through
-  /// identity-chain leaves — and may execute inside the kernel's row loop
-  /// when CodegenOptions::FuseGemmEpilogue is on.
-  int EpilogueSteps = 0;
-
   // Expression.
   DftTree Tree;
-  /// The tree lowered to a flat instruction tape (the default execution
-  /// engine; the tree stays as the reference interpreter).
+  /// The tree lowered to a flat instruction tape — how the step executes
+  /// (the tree stays as the IR CodeEmitter renders).
   DftProgram Program;
 
   /// Index into CompiledModel::Prepack when this RefKernel step's packed
@@ -188,9 +166,9 @@ struct BlockRuntime {
 };
 
 /// Executes \p Block with \p Io. Runs steps sequentially; each step is
-/// internally parallel. Expression steps run the compiled program or the
-/// legacy tree-walk per Options.UseCompiledPrograms; RefKernel steps
-/// receive Options.Kernels plus the per-call resources from \p Rt.
+/// internally parallel. Expression steps run their compiled program;
+/// RefKernel steps receive Options.Kernels plus the per-call resources
+/// from \p Rt.
 void executeBlock(const CompiledBlock &Block, const BlockIo &Io,
                   const CodegenOptions &Options = {},
                   const BlockRuntime &Rt = {});

@@ -10,9 +10,10 @@
 /// block inputs or previously materialized values. Elementwise operators
 /// become interior nodes; Reorganize/Shuffle/Slice/Expand/Gather operators
 /// vanish into the index chains on the edges (the intra-block data-movement
-/// optimization); Concat becomes a router node. The tree is evaluated
-/// chunk-wise over the root's output index space — this *is* the fused
-/// kernel in this reproduction (DESIGN.md §5.2).
+/// optimization); Concat becomes a router node. The tree is the fused
+/// kernel's IR: DftProgram lowers it to the instruction tape that executes
+/// chunk-wise over the root's output index space, and CodeEmitter renders
+/// it as C-like source.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,8 +28,8 @@
 
 namespace dnnfusion {
 
-/// Maximum elements evaluated per chunk (compile-time bound for the
-/// stack-allocated evaluation buffers).
+/// Maximum elements evaluated per chunk (sizes the tape's chunk
+/// registers).
 inline constexpr int DftMaxChunk = 512;
 
 /// An edge to a child expression, with the index chain that converts
@@ -71,18 +72,8 @@ public:
   int Root = -1;
   int64_t OutElems = 0;
 
-  /// Evaluates the tree over output flat indices [0, OutElems) into
-  /// \p Out, processing ChunkSize elements at a time, parallelized over
-  /// chunks. \p Slots resolves leaf buffer slots.
-  void evaluate(const std::vector<const float *> &Slots, float *Out,
-                int ChunkSize) const;
-
   /// Number of interior (non-leaf) nodes — the fused operator count.
   int interiorNodeCount() const;
-
-private:
-  void evalNode(int NodeIdx, const int64_t *Idx, int Count, float *Out,
-                const std::vector<const float *> &Slots) const;
 };
 
 } // namespace dnnfusion

@@ -161,8 +161,7 @@ struct Lowering {
       for (size_t B = 0; B < N.Children.size(); ++B) {
         const DftEdge &E = N.Children[B];
         if (!chainIsIdentity(E.Maps)) {
-          // In-place on the compacted branch set, positions preserved —
-          // exactly the tree-walk's applyIndexChain step.
+          // In-place on the compacted branch set, positions preserved.
           DftInstr M;
           M.K = DftInstr::Kind::MapIndices;
           M.Origin = N.Origin;
@@ -204,7 +203,7 @@ DftProgram DftProgram::compile(const DftTree &T) {
   ValueRef Root = L.lower(T.Root, /*Set=*/0, /*Contig=*/true);
   if (Root.IsSlot) {
     // Bare contiguous leaf (or identity passthrough of one): the program
-    // is a single chunk copy, matching the tree-walk's leaf evaluation.
+    // is a single chunk copy.
     DftInstr I;
     I.K = DftInstr::Kind::Eltwise;
     I.Origin = T.Nodes[static_cast<size_t>(T.Root)].Origin;
@@ -398,24 +397,6 @@ void DftProgram::execute(const std::vector<const float *> &Slots, float *Out,
       runChunk(*this, Slots, Base, Count, Out + Base, State, Simd);
     }
   });
-}
-
-void DftProgram::executeRange(const std::vector<const float *> &Slots,
-                              float *Out, int64_t Begin, int64_t End,
-                              int ChunkSize, KernelLevel Level) const {
-  DNNF_CHECK(ChunkSize > 0 && ChunkSize <= DftMaxChunk,
-             "chunk size %d out of range", ChunkSize);
-  DNNF_CHECK(Begin >= 0 && End <= OutElems && Begin <= End,
-             "range [%lld, %lld) outside [0, %lld)",
-             static_cast<long long>(Begin), static_cast<long long>(End),
-             static_cast<long long>(OutElems));
-  EltwiseChunkFn Simd = resolveEltwiseChunk(Level);
-  ChunkState State(*this);
-  for (int64_t Base = Begin; Base < End; Base += ChunkSize) {
-    int Count =
-        static_cast<int>(Base + ChunkSize <= End ? ChunkSize : End - Base);
-    runChunk(*this, Slots, Base, Count, Out + Base, State, Simd);
-  }
 }
 
 //===----------------------------------------------------------------------===//

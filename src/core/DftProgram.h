@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compiled form of a DftTree: a flat, topologically ordered
-/// instruction tape with pre-assigned chunk registers and
-/// compile-time-resolved instruction variants. Where the legacy evaluator
-/// re-walks the tree for every 256-element chunk — recursing, re-checking
-/// chainIsIdentity, and re-deriving index sets — the program executes each
-/// chunk as one branch-light linear loop over fixed-size buffers:
+/// The compiled form of a DftTree and the one execution path of every
+/// expression step: a flat, topologically ordered instruction tape with
+/// pre-assigned chunk registers and compile-time-resolved instruction
+/// variants. Instead of re-walking the tree for every 256-element chunk —
+/// recursing, re-checking chainIsIdentity, and re-deriving index sets —
+/// the program executes each chunk as one branch-light linear loop over
+/// fixed-size buffers:
 ///
 ///  - a *value register* is a float[DftMaxChunk] lane holding one tree
 ///    value for the current chunk; registers are allocated post-order with
@@ -24,9 +25,10 @@
 /// becomes a zero-copy slot argument of its consumer, an Identity node
 /// becomes a register alias (no instruction), a mapped leaf becomes a
 /// LoadGather, Concat lowers to RouterSplit / RouterMerge around its
-/// branch subtrees. Evaluation order, index arithmetic, and elementwise
-/// semantics (evalElementwiseChunk) are exactly the tree-walk's, so the
-/// program's outputs are bit-identical to the interpreter's — asserted
+/// branch subtrees. Every instruction is per-element within its chunk and
+/// the elementwise semantics are evalElementwiseChunk's, so the program's
+/// outputs are bit-identical to materializing each operator on its own —
+/// asserted against the test suite's op-by-op reference interpreter
 /// zoo-wide and across the GraphFuzz matrix.
 ///
 //===----------------------------------------------------------------------===//
@@ -41,7 +43,7 @@
 
 namespace dnnfusion {
 
-/// Maximum elementwise arity (mirrors the tree evaluator's bound).
+/// Maximum elementwise arity of a tape instruction.
 inline constexpr int DftEltwiseMaxArity = 5;
 
 /// One tape instruction. Operand roles depend on K; unused fields keep
@@ -136,28 +138,14 @@ public:
 
   /// Evaluates the program over output flat indices [0, OutElems) into
   /// \p Out, ChunkSize elements at a time, parallelized over chunks with
-  /// the same deterministic slicing as DftTree::evaluate.
+  /// deterministic slicing.
   ///
   /// \p Level picks the kernel-registry tier for the Eltwise instructions
   /// (resolved once per call, not per chunk). The SIMD tier covers a
   /// subset of ops and is bit-identical where it applies; uncovered ops
-  /// fall through to the scalar evalElementwiseChunk per instruction. The
-  /// legacy tree-walk evaluator (DftTree::evaluate) takes no level — it is
-  /// the scalar reference engine by definition.
+  /// fall through to the scalar evalElementwiseChunk per instruction.
   void execute(const std::vector<const float *> &Slots, float *Out,
                int ChunkSize, KernelLevel Level = KernelLevel::Scalar) const;
-
-  /// Evaluates output flat indices [Begin, End) only, on the calling
-  /// thread (no internal parallelism). \p Out is the full output base
-  /// pointer — element i lands at Out[i], exactly as under execute().
-  /// Chunk partitioning never changes values (every instruction is
-  /// per-element within its chunk), so covering [0, OutElems) with any
-  /// disjoint set of executeRange calls is bit-identical to execute().
-  /// This is the GEMM-epilogue entry point: the producing kernel calls it
-  /// per completed row range from inside its own parallel loop.
-  void executeRange(const std::vector<const float *> &Slots, float *Out,
-                    int64_t Begin, int64_t End, int ChunkSize,
-                    KernelLevel Level = KernelLevel::Scalar) const;
 
   /// One line per instruction (CodeEmitter's tape audit).
   std::string describe() const;

@@ -157,12 +157,6 @@ std::string IndexMap::describe() const {
   return "?";
 }
 
-void dnnfusion::applyIndexChain(const IndexChain &Chain, int64_t *Indices,
-                                int64_t Count) {
-  for (const IndexMap &M : Chain)
-    M.mapIndices(Indices, Indices, Count);
-}
-
 bool dnnfusion::chainIsIdentity(const IndexChain &Chain) {
   for (const IndexMap &M : Chain)
     if (!M.isIdentity())

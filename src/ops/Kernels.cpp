@@ -60,7 +60,7 @@ int64_t dnnfusion::detail::packScratchElemsForStep(
     OpKind Kind, const AttrMap &Attrs, const std::vector<Shape> &InputShapes,
     const Shape &OutShape, const KernelConfig &Config,
     bool WeightIsConstant) {
-  if (!Config.UsePackedGemm || InputShapes.size() < 2)
+  if (InputShapes.size() < 2)
     return 0;
   switch (Kind) {
   case OpKind::MatMul:

@@ -7,15 +7,16 @@
 /// \file
 /// The materializing reference kernels: one kernel invocation per operator,
 /// each reading whole input tensors and writing a whole output tensor.
-/// This is the substrate the no-fusion baseline (OurB) executes on and the
-/// oracle the fused evaluator is tested against.
+/// This is the substrate the no-fusion baseline (OurB) executes on; the
+/// elementwise, data-movement and pool/reduce families also back the test
+/// suite's op-by-op reference interpreter.
 ///
-/// The compute-intensive Many-to-Many kernels (MatMul/Gemm/Conv) carry two
-/// implementations: the legacy naive loops and the packed register-blocked
-/// engine (KernelsGemmPacked.h), selected by KernelConfig::UsePackedGemm
-/// plus a per-shape profitability gate. Both produce bit-identical results
-/// (same per-element k-order accumulation), so the toggle is purely a
-/// performance/debugging knob.
+/// The compute-intensive Many-to-Many kernels (MatMul/Gemm/Conv) run the
+/// packed register-blocked engine (KernelsGemmPacked.h) wherever a
+/// per-shape profitability gate says it wins, and plain row-walk loops for
+/// the narrow or tiny shapes it declines. Both produce bit-identical
+/// results (same per-element k-order accumulation), so the gate is purely
+/// a performance decision.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +27,6 @@
 #include "ops/OpKind.h"
 #include "tensor/Tensor.h"
 
-#include <functional>
 #include <vector>
 
 namespace dnnfusion {
@@ -34,18 +34,8 @@ namespace dnnfusion {
 struct PackedOperand;
 
 /// Tunable parameters of the compute-intensive kernels; the auto-tuner
-/// (Figure 9b) searches this space.
+/// (Figure 9b) searches the packed engine's blocking genes.
 struct KernelConfig {
-  int TileM = 32;
-  int TileN = 128;
-  int TileK = 64;
-  /// Row-block unroll factor of the matmul micro kernel (1, 2, or 4).
-  int UnrollM = 4;
-
-  /// Route MatMul/Gemm/Conv through the packed register-blocked engine
-  /// where the per-shape gate says it wins; false = the legacy naive
-  /// kernels everywhere (bit-identical either way).
-  bool UsePackedGemm = true;
   /// Micro-kernel row-block height (accumulator tile rows, 1..8).
   int PackMR = 8;
   /// B-panel width (accumulator tile columns; clamped to 4/8/16/32). Wide
@@ -72,10 +62,8 @@ struct KernelConfig {
 /// deterministically into ExecutionStats, surfaced per request through
 /// SessionMetrics.
 struct EngineCounters {
-  /// Expression steps evaluated by the compiled DFT program / the legacy
-  /// tree-walk interpreter.
+  /// Expression steps evaluated by the compiled DFT program.
   int64_t ProgramSteps = 0;
-  int64_t TreeWalkSteps = 0;
   /// MatMul/Gemm/Conv calls taking the packed / the naive kernel.
   int64_t PackedKernelCalls = 0;
   int64_t DirectKernelCalls = 0;
@@ -83,9 +71,6 @@ struct EngineCounters {
   /// run time (into scratch).
   int64_t PrepackHits = 0;
   int64_t PrepackMisses = 0;
-  /// Expression steps executed as GEMM epilogues (inside the producing
-  /// MatMul/Gemm kernel's row loop) instead of as separate passes.
-  int64_t GemmEpilogueSteps = 0;
   /// Fused-attention / fused-layernorm steps executed (one per carved
   /// attention or layernorm subgraph per inference).
   int64_t FusedAttentionSteps = 0;
@@ -100,12 +85,10 @@ struct EngineCounters {
 
   void add(const EngineCounters &O) {
     ProgramSteps += O.ProgramSteps;
-    TreeWalkSteps += O.TreeWalkSteps;
     PackedKernelCalls += O.PackedKernelCalls;
     DirectKernelCalls += O.DirectKernelCalls;
     PrepackHits += O.PrepackHits;
     PrepackMisses += O.PrepackMisses;
-    GemmEpilogueSteps += O.GemmEpilogueSteps;
     FusedAttentionSteps += O.FusedAttentionSteps;
     FusedLayerNormSteps += O.FusedLayerNormSteps;
     KernelScalarCalls += O.KernelScalarCalls;
@@ -126,12 +109,6 @@ struct KernelRuntime {
   int64_t PackScratchElems = 0;
   /// Engine-path counters to increment, or null.
   EngineCounters *Counters = nullptr;
-  /// Fused epilogue hook (MatMul/Gemm only): when non-null, the kernel
-  /// invokes it once per completed output row range with the flat element
-  /// range [Begin, End) it just wrote, from the same worker that produced
-  /// those rows — the epilogue runs while the rows are still cache-hot.
-  /// Every output element is covered exactly once across all invocations.
-  const std::function<void(int64_t, int64_t)> *Epilogue = nullptr;
 };
 
 /// Executes \p Kind on \p Inputs, writing \p Out (pre-allocated with the
@@ -141,11 +118,6 @@ void runRefKernel(OpKind Kind, const AttrMap &Attrs,
                   const std::vector<const Tensor *> &Inputs, Tensor &Out,
                   const KernelConfig &Config = KernelConfig(),
                   const KernelRuntime &Rt = KernelRuntime());
-
-/// Tiled single-threaded matmul micro kernel used directly by the
-/// auto-tuner: C[M,N] (+)= A[M,K] * B[K,N].
-void matmulTiled(const float *A, const float *B, float *C, int64_t M,
-                 int64_t N, int64_t K, const KernelConfig &Config);
 
 namespace detail {
 // Family implementations (one translation unit each).
@@ -177,8 +149,8 @@ int64_t convPackScratchElems(const AttrMap &Attrs, const Shape &XShape,
                              const KernelConfig &Config);
 
 /// Packing-scratch elements a MatMul/Gemm/Conv step may need at run time
-/// under \p Config (0 when the call would take the naive path or its
-/// packed operand is known-constant — \p WeightIsConstant — and therefore
+/// under \p Config (0 when the gate sends the call to the naive path or
+/// its packed operand is known-constant — \p WeightIsConstant — and therefore
 /// served by the prepack store). The memory planner sizes the per-lane
 /// pack scratch from the max over all steps.
 int64_t packScratchElemsForStep(OpKind Kind, const AttrMap &Attrs,

@@ -53,24 +53,24 @@ void dnnfusion::fusedAttentionRowsScalar(const AttentionRowArgs &Ar,
         for (int64_t J = 0; J < T; ++J)
           Scores[J] += Qv * KtRow[J];
       }
-      float TileMax = -INFINITY;
+      float ChunkMax = -INFINITY;
       if (MaskRow && !Causal) {
         for (int64_t J = 0; J < T; ++J) {
           Scores[J] = Scores[J] * Scale + MaskRow[J0 + J];
-          TileMax = std::max(TileMax, Scores[J]);
+          ChunkMax = std::max(ChunkMax, Scores[J]);
         }
       } else {
         for (int64_t J = 0; J < T; ++J) {
           Scores[J] *= Scale;
-          TileMax = std::max(TileMax, Scores[J]);
+          ChunkMax = std::max(ChunkMax, Scores[J]);
         }
       }
 
       // Online-softmax update: rescale the running state to the new
       // max, then fold the tile in.
-      if (TileMax > M) {
-        float Corr = std::exp(M - TileMax);
-        M = TileMax;
+      if (ChunkMax > M) {
+        float Corr = std::exp(M - ChunkMax);
+        M = ChunkMax;
         L *= Corr;
         for (int64_t D = 0; D < Dh; ++D)
           Acc[D] *= Corr;

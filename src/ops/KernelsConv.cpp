@@ -46,8 +46,6 @@ ConvPackGeom convPackGeom(const AttrMap &Attrs, const Shape &XShape,
                           const Shape &WShape, const Shape &OutShape,
                           const KernelConfig &Config) {
   ConvPackGeom G;
-  if (!Config.UsePackedGemm)
-    return G;
   int Sp = XShape.rank() - 2;
   if (Sp < 1 || Sp > 3)
     return G;
@@ -74,12 +72,6 @@ ConvPackGeom convPackGeom(const AttrMap &Attrs, const Shape &XShape,
     G.OutSpatial *= G.ODims[I];
     G.InSpatial *= G.IDims[I];
   }
-  // The direct 3-D kernel ignores the dilations attribute; mirror it so
-  // the two paths can never disagree on semantics.
-  if (Sp == 3)
-    for (int I = 0; I < 3; ++I)
-      if (G.Dil[I] != 1)
-        return G;
   G.K = G.Cg * KernelN;
   // Profitability: the im2col pass costs one K x OutSpatial sweep per
   // (image, group); it amortizes over the Fg filter rows sharing the
@@ -256,6 +248,7 @@ void runConv3d(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
           OW = Out.shape().dim(4);
   std::vector<int64_t> S = spatialAttr(Attrs, "strides", 3, 1);
   std::vector<int64_t> P = spatialAttr(Attrs, "pads", 3, 0);
+  std::vector<int64_t> D = spatialAttr(Attrs, "dilations", 3, 1);
   int64_t Group = Attrs.getInt("group", 1);
 
   parallelFor(N * F, [&](int64_t Begin, int64_t End) {
@@ -273,17 +266,17 @@ void runConv3d(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
                   X.data() + ((Ni * C + CBase + Ci) * ID) * IH * IW;
               const float *Wc = W.data() + ((Fi * Cg + Ci) * KD) * KH * KW;
               for (int64_t Kd = 0; Kd < KD; ++Kd) {
-                int64_t Id = Od * S[0] - P[0] + Kd;
+                int64_t Id = Od * S[0] - P[0] + Kd * D[0];
                 if (Id < 0 || Id >= ID)
                   continue;
                 for (int64_t Kh = 0; Kh < KH; ++Kh) {
-                  int64_t Ih = Oh * S[1] - P[1] + Kh;
+                  int64_t Ih = Oh * S[1] - P[1] + Kh * D[1];
                   if (Ih < 0 || Ih >= IH)
                     continue;
                   const float *Xrow = Xc + (Id * IH + Ih) * IW;
                   const float *Wrow = Wc + (Kd * KH + Kh) * KW;
                   for (int64_t Kw = 0; Kw < KW; ++Kw) {
-                    int64_t Iw = Ow * S[2] - P[2] + Kw;
+                    int64_t Iw = Ow * S[2] - P[2] + Kw * D[2];
                     if (Iw < 0 || Iw >= IW)
                       continue;
                     Acc += Xrow[Iw] * Wrow[Kw];

@@ -11,45 +11,6 @@
 
 using namespace dnnfusion;
 
-void dnnfusion::matmulTiled(const float *A, const float *B, float *C,
-                            int64_t M, int64_t N, int64_t K,
-                            const KernelConfig &Config) {
-  std::memset(C, 0, static_cast<size_t>(M * N) * sizeof(float));
-  int64_t TM = std::max(1, Config.TileM);
-  int64_t TN = std::max(1, Config.TileN);
-  int64_t TK = std::max(1, Config.TileK);
-  int64_t UM = std::clamp(Config.UnrollM, 1, 4);
-  for (int64_t M0 = 0; M0 < M; M0 += TM)
-    for (int64_t K0 = 0; K0 < K; K0 += TK)
-      for (int64_t N0 = 0; N0 < N; N0 += TN) {
-        int64_t M1 = std::min(M0 + TM, M);
-        int64_t K1 = std::min(K0 + TK, K);
-        int64_t N1 = std::min(N0 + TN, N);
-        int64_t I = M0;
-        // Row-blocked i-k-j micro kernel: the inner j loop vectorizes and
-        // UM rows of C stay live in registers.
-        for (; I + UM <= M1; I += UM) {
-          for (int64_t Kk = K0; Kk < K1; ++Kk) {
-            const float *Brow = B + Kk * N;
-            for (int64_t R = 0; R < UM; ++R) {
-              float Av = A[(I + R) * K + Kk];
-              float *Crow = C + (I + R) * N;
-              for (int64_t J = N0; J < N1; ++J)
-                Crow[J] += Av * Brow[J];
-            }
-          }
-        }
-        for (; I < M1; ++I)
-          for (int64_t Kk = K0; Kk < K1; ++Kk) {
-            float Av = A[I * K + Kk];
-            const float *Brow = B + Kk * N;
-            float *Crow = C + I * N;
-            for (int64_t J = N0; J < N1; ++J)
-              Crow[J] += Av * Brow[J];
-          }
-      }
-}
-
 namespace {
 
 /// Plain i-k-j matmul of one [M,K]x[K,N] problem, rows [RowBegin,RowEnd).
@@ -126,8 +87,7 @@ void runMatMul(const std::vector<const Tensor *> &Inputs, Tensor &Out,
   int64_t EffM = D.BSlices > 0 ? (Batches * M) / D.BSlices : M;
   bool Prepacked =
       Rt.Prepacked && Rt.Prepacked->matches(K, N, NR, D.BSlices);
-  if (Config.UsePackedGemm &&
-      packedGemmProfitable(EffM, N, K, NR, Prepacked)) {
+  if (packedGemmProfitable(EffM, N, K, NR, Prepacked)) {
     KernelLevel Level = effectiveKernelLevel(Config);
     if (Rt.Counters) {
       ++Rt.Counters->PackedKernelCalls;
@@ -160,8 +120,6 @@ void runMatMul(const std::vector<const Tensor *> &Inputs, Tensor &Out,
                        RowInBatch + RowsHere, N, K, MR, NR, nullptr, Level);
         Row += RowsHere;
       }
-      if (Rt.Epilogue)
-        (*Rt.Epilogue)(Begin * N, End * N);
     });
     return;
   }
@@ -179,15 +137,13 @@ void runMatMul(const std::vector<const Tensor *> &Inputs, Tensor &Out,
                  K);
       Row += RowsHere;
     }
-    if (Rt.Epilogue)
-      (*Rt.Epilogue)(Begin * N, End * N);
   });
 }
 
 /// Adds one broadcast bias row into \p Crow: bias element (I, J) lives at
 /// Bias[I * S0 + J * S1] with S0/S1 the broadcast strides over the [M, N]
-/// output. A single post-accumulation add per element, exactly like the
-/// old whole-output epilogue — now fused into the parallel row loop.
+/// output. A single post-accumulation add per element, inside the
+/// parallel row loop.
 void addBiasRow(float *Crow, const float *Bias, int64_t I, int64_t N,
                 int64_t S0, int64_t S1) {
   const float *Brow = Bias + I * S0;
@@ -248,7 +204,7 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
   int NR = clampPackNR(Config.PackNR);
   int MR = clampPackMR(Config.PackMR);
   bool Prepacked = Rt.Prepacked && Rt.Prepacked->matches(K, N, NR, 1);
-  if (Config.UsePackedGemm && packedGemmProfitable(M, N, K, NR, Prepacked)) {
+  if (packedGemmProfitable(M, N, K, NR, Prepacked)) {
     KernelLevel Level = effectiveKernelLevel(Config);
     if (Rt.Counters) {
       ++Rt.Counters->PackedKernelCalls;
@@ -273,8 +229,6 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
       if (Bias)
         for (int64_t I = Begin; I < End; ++I)
           addBiasRow(Out.data() + I * N, Bias, I, N, BiasS0, BiasS1);
-      if (Rt.Epilogue)
-        (*Rt.Epilogue)(Begin * N, End * N);
     });
     return;
   }
@@ -300,8 +254,6 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
     if (Bias)
       for (int64_t I = Begin; I < End; ++I)
         addBiasRow(Out.data() + I * N, Bias, I, N, BiasS0, BiasS1);
-    if (Rt.Epilogue)
-      (*Rt.Epilogue)(Begin * N, End * N);
   };
   parallelFor(M, RunRows);
 }
@@ -311,8 +263,6 @@ void runGemm(const AttrMap &Attrs, const std::vector<const Tensor *> &Inputs,
 int64_t dnnfusion::detail::matmulPackScratchElems(
     OpKind Kind, const AttrMap &Attrs, const Shape &AShape,
     const Shape &BShape, const Shape &OutShape, const KernelConfig &Config) {
-  if (!Config.UsePackedGemm)
-    return 0;
   int NR = clampPackNR(Config.PackNR);
   if (Kind == OpKind::MatMul) {
     MatMulDims D = matmulDims(AShape, BShape, OutShape);

@@ -95,22 +95,22 @@ void fusedAttentionRowsAvx2Impl(const AttentionRowArgs &Ar, int64_t RowBegin,
       }
       // Scale/mask + running-max scan: scalar. The scan's left-to-right
       // order (and its NaN semantics) is part of the reference behavior.
-      float TileMax = -INFINITY;
+      float ChunkMax = -INFINITY;
       if (MaskRow && !Causal) {
         for (int64_t J = 0; J < T; ++J) {
           Scores[J] = Scores[J] * Scale + MaskRow[J0 + J];
-          TileMax = std::max(TileMax, Scores[J]);
+          ChunkMax = std::max(ChunkMax, Scores[J]);
         }
       } else {
         for (int64_t J = 0; J < T; ++J) {
           Scores[J] *= Scale;
-          TileMax = std::max(TileMax, Scores[J]);
+          ChunkMax = std::max(ChunkMax, Scores[J]);
         }
       }
 
-      if (TileMax > M) {
-        float Corr = std::exp(M - TileMax);
-        M = TileMax;
+      if (ChunkMax > M) {
+        float Corr = std::exp(M - ChunkMax);
+        M = ChunkMax;
         L *= Corr;
         __m256 Cb = _mm256_set1_ps(Corr);
         int64_t D = 0;

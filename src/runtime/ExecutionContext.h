@@ -47,8 +47,8 @@ struct ExecutionStats {
   int64_t ScratchBytes = 0;
   int64_t PeakArenaBytes = 0;
   double WallMs = 0.0;
-  /// Execution-engine path counters (compiled-program vs tree-walk steps,
-  /// packed vs naive kernels, prepack hits/misses), reduced in block-index
+  /// Execution-engine path counters (compiled-program steps, packed vs
+  /// naive kernels, prepack hits/misses), reduced in block-index
   /// order so they are identical across schedules and pool sizes.
   EngineCounters Engine;
   /// Wall time per block, indexed by block (filled when PerBlockTiming is

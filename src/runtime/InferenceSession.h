@@ -66,8 +66,8 @@ struct SessionMetrics {
   /// Under concurrent clients, the sum over requests (not elapsed time).
   double CumulativeWallMs = 0.0;
   /// Execution-engine path counters summed over served requests:
-  /// compiled-program vs tree-walk expression steps, packed vs naive
-  /// Many-to-Many kernel calls, and prepack hits/misses — serving-side
+  /// compiled-program expression steps, packed vs naive Many-to-Many
+  /// kernel calls, and prepack hits/misses — serving-side
   /// observability of which paths requests actually took.
   EngineCounters Engine;
   /// Per-request execution latency distribution (microseconds; the same

@@ -106,8 +106,6 @@ void buildPrepack(CompiledModel &M, const Graph &G) {
     for (CompiledStep &S : B.Steps)
       S.PrepackIndex = -1;
   const KernelConfig &KC = M.Codegen.Kernels;
-  if (!KC.UsePackedGemm)
-    return;
   int NR = clampPackNR(KC.PackNR);
   std::map<std::tuple<NodeId, int64_t, int64_t, int>, int> Dedup;
   for (CompiledBlock &B : M.Blocks) {
@@ -276,19 +274,15 @@ Expected<CompiledModel> dnnfusion::compileModel(Graph G,
         });
     if (Cached.ok()) {
       Cached->CacheHit = true;
-      // The execution-engine knobs are not part of the persisted artifact
-      // (they change neither plan nor graph, hence neither the cache key):
-      // adopt the caller's, and rebuild the derived prepack/scratch state
-      // only when they differ from the knobs the loader already built
-      // under (the defaults — engine knobs are not in the OPTS section).
-      Cached->Codegen.UseCompiledPrograms =
-          Options.Codegen.UseCompiledPrograms;
-      Cached->Codegen.FuseGemmEpilogue = Options.Codegen.FuseGemmEpilogue;
+      // The kernel knobs are not part of the persisted artifact (they
+      // change neither plan nor graph, hence neither the cache key): adopt
+      // the caller's, and rebuild the derived prepack/scratch state only
+      // when they differ from the knobs the loader already built under
+      // (the defaults — kernel knobs are not in the OPTS section).
       const KernelConfig &Want = Options.Codegen.Kernels;
       const KernelConfig Loaded = Cached->Codegen.Kernels;
       Cached->Codegen.Kernels = Want;
-      if (Want.UsePackedGemm != Loaded.UsePackedGemm ||
-          clampPackNR(Want.PackNR) != clampPackNR(Loaded.PackNR) ||
+      if (clampPackNR(Want.PackNR) != clampPackNR(Loaded.PackNR) ||
           clampPackMR(Want.PackMR) != clampPackMR(Loaded.PackMR) ||
           Want.PackColTile != Loaded.PackColTile) {
         buildPrepack(*Cached, Cached->G);

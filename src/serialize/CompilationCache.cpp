@@ -77,12 +77,11 @@ std::string serializeOptionsForKey(const CompileOptions &O) {
   W.u8(O.Codegen.MaterializeShared ? 1 : 0);
   W.i32(O.Codegen.ChunkSize);
   // FuseAttention/FuseNorm change the fusion plan (and thus the persisted
-  // artifact); FuseGemmEpilogue deliberately does not — it is an engine
-  // knob adopted from the caller on a hit, like UseCompiledPrograms.
+  // artifact).
   W.u8(O.Codegen.FuseAttention ? 1 : 0);
   W.u8(O.Codegen.FuseNorm ? 1 : 0);
-  // The whole KernelConfig (tiling, packing, and the registry's
-  // ForceKernelLevel) is likewise excluded: kernel dispatch is a
+  // The whole KernelConfig (packing and the registry's ForceKernelLevel)
+  // is deliberately excluded: kernel dispatch is a
   // per-execution property of the *loading* host — an artifact compiled
   // under forced-scalar must hit the same cache entry and re-resolve to
   // the loader's best tier (blocks are never serialized; compileBlock on

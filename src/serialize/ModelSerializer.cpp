@@ -157,8 +157,8 @@ std::string serializeOptions(const CodegenOptions &Codegen,
   W.u8(WavefrontSafeMemory ? 1 : 0);
   // Plan-affecting fusion toggles (format v2): the loader must recompile
   // the persisted plan's blocks under the same toggles, or the rebuilt
-  // locals/scratch would disagree with the persisted memory plan. Engine
-  // knobs (UseCompiledPrograms, FuseGemmEpilogue, Kernels) stay out.
+  // locals/scratch would disagree with the persisted memory plan. The
+  // kernel knobs (Kernels) stay out.
   W.u8(Codegen.FuseAttention ? 1 : 0);
   W.u8(Codegen.FuseNorm ? 1 : 0);
   return W.take();

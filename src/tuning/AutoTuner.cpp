@@ -13,17 +13,11 @@ using namespace dnnfusion;
 
 namespace {
 
-const int TileChoices[] = {8, 16, 32, 64, 128, 256};
-const int UnrollChoices[] = {1, 2, 4};
 const int PackMRChoices[] = {1, 2, 4, 6, 8};
 const int PackNRChoices[] = {4, 8, 16, 32};
 
 KernelConfig randomConfig(Rng &R) {
   KernelConfig C;
-  C.TileM = TileChoices[R.nextBelow(6)];
-  C.TileN = TileChoices[R.nextBelow(6)];
-  C.TileK = TileChoices[R.nextBelow(6)];
-  C.UnrollM = UnrollChoices[R.nextBelow(3)];
   C.PackMR = PackMRChoices[R.nextBelow(5)];
   C.PackNR = PackNRChoices[R.nextBelow(4)];
   return C;
@@ -31,24 +25,12 @@ KernelConfig randomConfig(Rng &R) {
 
 KernelConfig crossover(const KernelConfig &A, const KernelConfig &B, Rng &R) {
   KernelConfig C;
-  C.TileM = R.nextBool() ? A.TileM : B.TileM;
-  C.TileN = R.nextBool() ? A.TileN : B.TileN;
-  C.TileK = R.nextBool() ? A.TileK : B.TileK;
-  C.UnrollM = R.nextBool() ? A.UnrollM : B.UnrollM;
   C.PackMR = R.nextBool() ? A.PackMR : B.PackMR;
   C.PackNR = R.nextBool() ? A.PackNR : B.PackNR;
   return C;
 }
 
 void mutate(KernelConfig &C, float Rate, Rng &R) {
-  if (R.nextBool(Rate))
-    C.TileM = TileChoices[R.nextBelow(6)];
-  if (R.nextBool(Rate))
-    C.TileN = TileChoices[R.nextBelow(6)];
-  if (R.nextBool(Rate))
-    C.TileK = TileChoices[R.nextBelow(6)];
-  if (R.nextBool(Rate))
-    C.UnrollM = UnrollChoices[R.nextBelow(3)];
   if (R.nextBool(Rate))
     C.PackMR = PackMRChoices[R.nextBelow(5)];
   if (R.nextBool(Rate))
@@ -70,19 +52,14 @@ TuneResult dnnfusion::tuneMatmul(int64_t M, int64_t N, int64_t K,
   auto Measure = [&](const KernelConfig &Config) {
     double Best = 0.0;
     int NR = clampPackNR(Config.PackNR);
-    if (Options.TunePacked) {
-      // The serving hot path keeps constant weights prepacked, so packing
-      // stays outside the timed region.
-      Packed.resize(static_cast<size_t>(packedPanelElems(K, N, NR)));
-      packBPanels(B.data(), N, 1, K, N, NR, Packed.data());
-    }
+    // The serving hot path keeps constant weights prepacked, so packing
+    // stays outside the timed region.
+    Packed.resize(static_cast<size_t>(packedPanelElems(K, N, NR)));
+    packBPanels(B.data(), N, 1, K, N, NR, Packed.data());
     for (int I = 0; I < Options.MeasureRepeats; ++I) {
       WallTimer T;
-      if (Options.TunePacked)
-        gemmPackedRows(A.data(), K, 1, Packed.data(), C.data(), N, 0, M, N,
-                       K, clampPackMR(Config.PackMR), NR, nullptr);
-      else
-        matmulTiled(A.data(), B.data(), C.data(), M, N, K, Config);
+      gemmPackedRows(A.data(), K, 1, Packed.data(), C.data(), N, 0, M, N, K,
+                     clampPackMR(Config.PackMR), NR, nullptr);
       double Ms = T.millis();
       if (I == 0 || Ms < Best)
         Best = Ms;

@@ -7,10 +7,10 @@
 /// \file
 /// The differential-testing subsystem: a seeded random-graph generator that
 /// samples DAGs over the full OpKind vocabulary with shape-valid wiring and
-/// domain-safe operand construction, runs each graph through the unoptimized
-/// reference pipeline and the optimized pipeline under a matrix of
-/// CompileOptions, and — on divergence — shrinks the failing graph to a
-/// minimal repro printed as GraphBuilder code.
+/// domain-safe operand construction, runs each graph through the op-by-op
+/// reference interpreter (ReferenceInterpreter.h) and the optimized
+/// pipeline under a matrix of CompileOptions, and — on divergence — shrinks
+/// the failing graph to a minimal repro printed as GraphBuilder code.
 ///
 /// The pieces compose as:
 ///
@@ -123,23 +123,22 @@ struct DiffConfig {
   /// inherit the matrix-wide defaults passed to runDifferential. Configs
   /// that exercise a deliberate bit-identity relaxation (the fused
   /// attention kernel's online softmax) carry the documented tolerance
-  /// explicitly; exact configs stay at the inherited/strict setting.
+  /// explicitly; the "exact" config pins 0.
   float RelTol = -1.0f;
   float AbsTol = -1.0f;
   /// When non-empty: the name of an earlier matrix config this one must
   /// match *bit-for-bit* (tolerance 0), on top of the vs-reference check.
-  /// This is how thread-count, engine-path, kernel-path, and
-  /// epilogue-fold dimensions pin their exactness guarantees.
+  /// This is how the thread-count and forced-tier dimensions pin their
+  /// exactness guarantees even where the reference comparison is relaxed.
   std::string BitIdenticalTo;
 };
 
 /// The default configuration matrix: full pipeline, fusion without
 /// rewriting, rewriting without fusion, fusion without the §4.4.2 "other"
 /// optimizations, the full pipeline pinned to a single-thread pool
-/// (the thread-count dimension), engine/kernel-path dimensions
-/// (tree-walk, naive GEMM), and the transformer-fusion dimensions
-/// (epilogue folding off — bit-identical; fused attention/layernorm off —
-/// reference path).
+/// (the thread-count dimension), the exact config (tolerance 0), the
+/// transformer-fusion dimension (fused attention/layernorm off), and the
+/// forced kernel-tier dimensions.
 const std::vector<DiffConfig> &defaultConfigMatrix();
 
 /// A reference-vs-optimized divergence.
@@ -156,7 +155,7 @@ std::optional<std::string> compareOutputs(const std::vector<Tensor> &Ref,
                                           float RelTol = 2e-3f,
                                           float AbsTol = 2e-3f);
 
-/// Runs \p Spec through the unoptimized reference pipeline and through every
+/// Runs \p Spec through the reference interpreter and through every
 /// configuration in \p Configs, comparing outputs. Returns the first
 /// divergence found, or nullopt when all configurations match.
 std::optional<DiffFailure>

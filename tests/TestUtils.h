@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Helpers shared across the test suite: running a graph through the
-/// no-fusion reference pipeline and through the fully optimized pipeline,
-/// and comparing outputs.
+/// op-by-op reference interpreter and through the fully optimized
+/// pipeline, and comparing outputs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,7 @@
 #define DNNFUSION_TESTS_TESTUTILS_H
 
 #include "GraphFuzz.h"
+#include "ReferenceInterpreter.h"
 #include "runtime/ExecutionContext.h"
 #include "runtime/ModelCompiler.h"
 #include "support/StringUtils.h"
@@ -46,19 +47,11 @@ inline std::vector<Tensor> randomInputs(const Graph &G, uint64_t Seed,
   return Inputs;
 }
 
-/// Runs \p G unoptimized (no rewriting, no fusion) with strictly
-/// sequential block execution — the reference result.
+/// Runs \p G through the op-by-op reference interpreter — the reference
+/// result, computed without any engine code.
 inline std::vector<Tensor> runReference(const Graph &G,
                                         const std::vector<Tensor> &Inputs) {
-  CompileOptions Opt;
-  Opt.EnableGraphRewriting = false;
-  Opt.EnableFusion = false;
-  Opt.EnableOtherOpts = false;
-  CompiledModel M = cantFail(compileModel(G, Opt));
-  ExecutionOptions Exec;
-  Exec.Mode = ExecutionOptions::Schedule::Sequential;
-  ExecutionContext E(M, Exec);
-  return E.run(Inputs);
+  return interpretGraph(G, Inputs);
 }
 
 /// Runs \p G through the full DNNFusion pipeline with \p Options (default

@@ -166,7 +166,7 @@ TEST(BlockCompiler, HeavyOpBecomesKernelStepWithStagedPrologue) {
   NodeId M = B.op(OpKind::MatMul, {Pre, B.weight(Shape({8, 4}))});
   B.markOutput(B.sigmoid(M));
   CompiledBlock CB = compileWholeGraph(B.graph());
-  // Steps: stage relu -> matmul kernel -> sigmoid epilogue expression.
+  // Steps: stage relu -> matmul kernel -> sigmoid expression.
   ASSERT_EQ(CB.Steps.size(), 3u);
   EXPECT_EQ(CB.Steps[0].K, CompiledStep::Kind::Expression);
   EXPECT_EQ(CB.Steps[1].K, CompiledStep::Kind::RefKernel);

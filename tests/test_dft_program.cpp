@@ -2,10 +2,10 @@
 //
 // The compiled execution engine end to end: DftTree -> DftProgram tape
 // lowering (register allocation, variant selection, router/gather edge
-// cases), program-vs-treewalk and packed-vs-naive bit-identity at the
-// kernel, block, and model-zoo levels, the prepack store lifecycle
-// (compile, cache hit, save/load), and the engine-path observability
-// counters.
+// cases), bit-identity of tapes and of the packed and naive Many-to-Many
+// kernels against the op-by-op reference interpreter, the prepack store
+// lifecycle (compile, cache hit, save/load), and the engine-path
+// observability counters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +14,6 @@
 #include "core/CodeEmitter.h"
 #include "core/DftProgram.h"
 #include "graph/GraphBuilder.h"
-#include "models/ModelZoo.h"
 #include "ops/KernelsGemmPacked.h"
 #include "ops/OpSchema.h"
 #include "runtime/InferenceSession.h"
@@ -23,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace dnnfusion;
@@ -51,46 +51,37 @@ int countInstrs(const DftProgram &P, DftInstr::Kind K) {
   return N;
 }
 
-/// Runs every expression step of \p CB through both engines over
-/// deterministic slot data and expects bit-identical outputs for every
-/// chunk size in \p ChunkSizes.
-void expectStepBitIdentity(const Graph &G, const CompiledBlock &CB,
-                           std::initializer_list<int> ChunkSizes = {256}) {
-  Rng R(17);
-  // Deterministic backing store for every slot (externals and locals).
-  std::vector<std::vector<float>> Store;
-  std::vector<const float *> Slots;
-  for (NodeId Id : CB.ExternalInputs) {
-    Store.emplace_back(
-        static_cast<size_t>(G.node(Id).OutShape.numElements()));
-    for (float &V : Store.back())
-      V = R.nextFloatInRange(-2.0f, 2.0f);
-    Slots.push_back(Store.back().data());
-  }
-  for (const CompiledBlock::LocalBuffer &L : CB.Locals) {
-    Store.emplace_back(static_cast<size_t>(L.Sh.numElements()));
-    for (float &V : Store.back())
-      V = R.nextFloatInRange(-2.0f, 2.0f);
-    Slots.push_back(Store.back().data());
-  }
-  int Checked = 0;
-  for (const CompiledStep &S : CB.Steps) {
-    if (S.K != CompiledStep::Kind::Expression)
-      continue;
-    ASSERT_FALSE(S.Program.empty());
-    int64_t E = S.OutShape.numElements();
-    for (int Chunk : ChunkSizes) {
-      std::vector<float> Tree(static_cast<size_t>(E), -7.0f);
-      std::vector<float> Prog(static_cast<size_t>(E), 7.0f);
-      S.Tree.evaluate(Slots, Tree.data(), Chunk);
-      S.Program.execute(Slots, Prog.data(), Chunk);
-      for (int64_t I = 0; I < E; ++I)
-        ASSERT_EQ(Tree[static_cast<size_t>(I)], Prog[static_cast<size_t>(I)])
-            << "chunk " << Chunk << " elem " << I << " origin " << S.Origin;
+/// Executes \p CB at every chunk size in \p ChunkSizes and expects every
+/// block-local buffer — block outputs and staged or shared intermediates —
+/// to equal the reference interpreter's value of its node bit for bit.
+void expectBlockMatchesOracle(const Graph &G, const CompiledBlock &CB,
+                              std::initializer_list<int> ChunkSizes = {256}) {
+  std::vector<Tensor> Values =
+      interpretNodes(G, randomInputs(G, 17, -2.0f, 2.0f));
+  BlockIo Io;
+  for (NodeId Id : CB.ExternalInputs)
+    Io.Externals.push_back(Values[static_cast<size_t>(Id)].data());
+  ASSERT_TRUE(std::any_of(CB.Steps.begin(), CB.Steps.end(), [](const auto &S) {
+    return S.K == CompiledStep::Kind::Expression;
+  }));
+  for (int Chunk : ChunkSizes) {
+    std::vector<Tensor> Locals;
+    Io.LocalPtrs.clear();
+    for (const CompiledBlock::LocalBuffer &L : CB.Locals) {
+      Locals.push_back(Tensor::full(L.Sh, 7.0f));
+      Io.LocalPtrs.push_back(Locals.back().data());
     }
-    ++Checked;
+    CodegenOptions Opt;
+    Opt.ChunkSize = Chunk;
+    executeBlock(CB, Io, Opt);
+    for (size_t I = 0; I < CB.Locals.size(); ++I) {
+      const Tensor &Want = Values[static_cast<size_t>(CB.Locals[I].Node)];
+      for (int64_t E = 0; E < Want.numElements(); ++E)
+        ASSERT_EQ(Locals[I].at(E), Want.at(E))
+            << "chunk " << Chunk << " node " << CB.Locals[I].Node
+            << " elem " << E;
+    }
   }
-  EXPECT_GT(Checked, 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -117,7 +108,7 @@ TEST(DftProgramLowering, ElementwiseChainReusesOneRegister) {
   EXPECT_TRUE(P.Instrs.front().Args[0].IsSlot);
   // The final operator writes the chunk output directly.
   EXPECT_EQ(P.Instrs.back().Dst, DftProgram::OutputReg);
-  expectStepBitIdentity(B.graph(), CB, {16, 256, 512});
+  expectBlockMatchesOracle(B.graph(), CB, {16, 256, 512});
 }
 
 TEST(DftProgramLowering, BinaryTreeRegisterHighWaterStaysSmall) {
@@ -133,7 +124,7 @@ TEST(DftProgramLowering, BinaryTreeRegisterHighWaterStaysSmall) {
   const DftProgram &P = CB.Steps[0].Program;
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::Eltwise), 7);
   EXPECT_LE(P.NumValueRegs, 3);
-  expectStepBitIdentity(B.graph(), CB);
+  expectBlockMatchesOracle(B.graph(), CB);
 }
 
 TEST(DftProgramLowering, FoldedTransposeBecomesMapAndGather) {
@@ -149,7 +140,7 @@ TEST(DftProgramLowering, FoldedTransposeBecomesMapAndGather) {
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::LoadGather), 1);
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::Eltwise), 1);
   EXPECT_EQ(P.NumIndexSets, 2);
-  expectStepBitIdentity(B.graph(), CB, {17, 256});
+  expectBlockMatchesOracle(B.graph(), CB, {17, 256});
 }
 
 TEST(DftProgramLowering, PureMovementRootGathersStraightToOutput) {
@@ -166,7 +157,7 @@ TEST(DftProgramLowering, PureMovementRootGathersStraightToOutput) {
   EXPECT_EQ(P.Instrs[1].K, DftInstr::Kind::LoadGather);
   EXPECT_EQ(P.Instrs[1].Dst, DftProgram::OutputReg);
   EXPECT_EQ(P.NumValueRegs, 1); // Allocated, then retargeted at out.
-  expectStepBitIdentity(B.graph(), CB, {8, 100, 256});
+  expectBlockMatchesOracle(B.graph(), CB, {8, 100, 256});
 }
 
 TEST(DftProgramLowering, ConcatLowersToRouterSplitMerge) {
@@ -185,7 +176,7 @@ TEST(DftProgramLowering, ConcatLowersToRouterSplitMerge) {
   // One set per branch plus the implicit contiguous set.
   EXPECT_EQ(P.NumIndexSets, 3);
   // Chunk sizes that split, straddle, and cover whole branch rows.
-  expectStepBitIdentity(B.graph(), CB, {4, 5, 12, 256});
+  expectBlockMatchesOracle(B.graph(), CB, {4, 5, 12, 256});
 }
 
 TEST(DftProgramLowering, NestedConcatWithMappedBranches) {
@@ -204,7 +195,7 @@ TEST(DftProgramLowering, NestedConcatWithMappedBranches) {
   const DftProgram &P = CB.Steps[0].Program;
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::RouterSplit), 2);
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::RouterMerge), 2);
-  expectStepBitIdentity(B.graph(), CB, {3, 11, 64, 256});
+  expectBlockMatchesOracle(B.graph(), CB, {3, 11, 64, 256});
 }
 
 TEST(DftProgramLowering, BroadcastRowOperandLowersToPeriodicLoad) {
@@ -226,7 +217,7 @@ TEST(DftProgramLowering, BroadcastRowOperandLowersToPeriodicLoad) {
       for (int A = 0; A < I.NumArgs; ++A)
         SawSlotArg |= I.Args[A].IsSlot;
   EXPECT_TRUE(SawSlotArg);
-  expectStepBitIdentity(B.graph(), CB, {8, 30, 256});
+  expectBlockMatchesOracle(B.graph(), CB, {8, 30, 256});
 }
 
 TEST(DftProgramLowering, BroadcastScalarOperandLowersToSplat) {
@@ -240,7 +231,7 @@ TEST(DftProgramLowering, BroadcastScalarOperandLowersToSplat) {
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::LoadSplat), 1);
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::MapIndices), 0);
   EXPECT_EQ(countInstrs(P, DftInstr::Kind::LoadGather), 0);
-  expectStepBitIdentity(B.graph(), CB, {8, 30, 256});
+  expectBlockMatchesOracle(B.graph(), CB, {8, 30, 256});
 }
 
 TEST(DftProgramLowering, EmitterRendersTape) {
@@ -256,7 +247,7 @@ TEST(DftProgramLowering, EmitterRendersTape) {
 }
 
 //===----------------------------------------------------------------------===//
-// Packed GEMM engine: layout and bit-identity vs the naive kernels
+// Many-to-Many kernels: packed layout, and both gate paths vs the oracle
 //===----------------------------------------------------------------------===//
 
 TEST(PackedGemm, PanelLayoutAndTailPadding) {
@@ -307,28 +298,39 @@ TEST(PackedGemm, BitIdenticalToNaiveAcrossShapesAndBlocking) {
   }
 }
 
-/// Runs \p Kind twice (packed on/off) over \p Inputs and expects equal
-/// outputs element-for-element.
-void expectKernelPathIdentity(OpKind Kind, const AttrMap &Attrs,
-                              const std::vector<const Tensor *> &Inputs,
-                              const Shape &OutShape) {
-  Tensor Packed(OutShape), Naive(OutShape);
-  KernelConfig On; // defaults: packed enabled
-  KernelConfig Off;
-  Off.UsePackedGemm = false;
-  runRefKernel(Kind, Attrs, Inputs, Packed, On);
-  runRefKernel(Kind, Attrs, Inputs, Naive, Off);
-  for (int64_t I = 0; I < Packed.numElements(); ++I)
-    ASSERT_EQ(Packed.at(I), Naive.at(I)) << opKindName(Kind) << " at " << I;
+/// Runs \p Kind through the engine's kernel under each panel width in
+/// \p PanelWidths and expects the reference interpreter's output element
+/// for element; \p Counters accumulates which gate path each call took.
+void expectKernelMatchesOracle(OpKind Kind, const AttrMap &Attrs,
+                               const std::vector<const Tensor *> &Inputs,
+                               const Shape &OutShape, EngineCounters &Counters,
+                               std::initializer_list<int> PanelWidths = {8,
+                                                                         32}) {
+  Tensor Want(OutShape);
+  referenceOp(Kind, Attrs, Inputs, Want);
+  for (int NR : PanelWidths) {
+    KernelConfig Config;
+    Config.PackNR = NR;
+    KernelRuntime Rt;
+    Rt.Counters = &Counters;
+    Tensor Got(OutShape);
+    runRefKernel(Kind, Attrs, Inputs, Got, Config, Rt);
+    for (int64_t I = 0; I < Got.numElements(); ++I)
+      ASSERT_EQ(Got.at(I), Want.at(I))
+          << opKindName(Kind) << " NR=" << NR << " at " << I;
+  }
 }
 
-TEST(PackedGemm, MatMulBatchedAndBroadcastAgreeWithNaive) {
+TEST(PackedGemm, MatMulBatchedAndBroadcastAgreeWithOracle) {
   Rng R(29);
-  // Batched B (one slice per batch) and broadcast B (one shared slice).
+  EngineCounters Counters;
+  // Batched B (one slice per batch), broadcast B (one shared slice), and
+  // a narrow N the profitability gate sends to the naive loops.
   for (auto Shapes :
        {std::pair<Shape, Shape>{Shape({3, 24, 40}), Shape({3, 40, 32})},
         {Shape({4, 2, 24, 40}), Shape({40, 32})},
-        {Shape({2, 2, 16, 32}), Shape({2, 1, 32, 24})}}) {
+        {Shape({2, 2, 16, 32}), Shape({2, 1, 32, 24})},
+        {Shape({2, 5, 7}), Shape({2, 7, 3})}}) {
     Tensor A(Shapes.first), B(Shapes.second);
     fillRandom(A, R, -1.5f, 1.5f);
     fillRandom(B, R, -1.5f, 1.5f);
@@ -336,12 +338,18 @@ TEST(PackedGemm, MatMulBatchedAndBroadcastAgreeWithNaive) {
     std::vector<const Tensor *> Inputs{&A, &B};
     Shape Out = inferShape(OpKind::MatMul, AttrMap(),
                             {A.shape(), B.shape()});
-    expectKernelPathIdentity(OpKind::MatMul, AttrMap(), Inputs, Out);
+    expectKernelMatchesOracle(OpKind::MatMul, AttrMap(), Inputs, Out,
+                              Counters);
   }
+  EXPECT_GT(Counters.PackedKernelCalls, 0);
+  EXPECT_GT(Counters.DirectKernelCalls, 0);
 }
 
-TEST(PackedGemm, GemmAllTransposeAndBiasVariantsAgreeWithNaive) {
+TEST(PackedGemm, GemmAllTransposeAndBiasVariantsAgreeWithOracle) {
   Rng R(31);
+  EngineCounters Counters;
+  // N = 40 packs at NR = 8; at NR = 32 the tail-padding rule declines it
+  // and the naive loops run.
   int64_t M = 24, N = 40, K = 32;
   for (int TA : {0, 1})
     for (int TB : {0, 1})
@@ -364,13 +372,19 @@ TEST(PackedGemm, GemmAllTransposeAndBiasVariantsAgreeWithNaive) {
           fillRandom(Bias, R, -1.0f, 1.0f);
           Inputs.push_back(&Bias);
         }
-        expectKernelPathIdentity(OpKind::Gemm, Attrs, Inputs,
-                                 Shape({M, N}));
+        expectKernelMatchesOracle(OpKind::Gemm, Attrs, Inputs, Shape({M, N}),
+                                  Counters);
       }
+  EXPECT_GT(Counters.PackedKernelCalls, 0);
+  EXPECT_GT(Counters.DirectKernelCalls, 0);
 }
 
 TEST(PackedGemm, ConvVariantsAgreeWithDirect) {
+  // Every conv shape against the oracle, which accumulates in the direct
+  // kernels' order: the im2col + packed GEMM path and the direct loops
+  // (depthwise shapes, which the packing gate declines) must both match it.
   Rng R(37);
+  EngineCounters Counters;
   struct Case {
     Shape X, W;
     std::vector<int64_t> Strides, Pads, Dilations;
@@ -387,9 +401,16 @@ TEST(PackedGemm, ConvVariantsAgreeWithDirect) {
       {Shape({1, 8, 12, 12}), Shape({16, 4, 3, 3}), {1, 1}, {1, 1}, {1, 1}, 2},
       // 1x1 pointwise.
       {Shape({1, 16, 10, 10}), Shape({32, 16, 1, 1}), {1, 1}, {0, 0}, {1, 1}, 1},
+      // Depthwise (direct loops).
+      {Shape({1, 8, 10, 10}), Shape({8, 1, 3, 3}), {1, 1}, {1, 1}, {1, 1}, 8},
       // 3-D conv.
       {Shape({1, 4, 6, 10, 10}), Shape({8, 4, 3, 3, 3}), {1, 1, 1},
        {1, 1, 1}, {1, 1, 1}, 1},
+      // Dilated 3-D conv, packed and depthwise-direct.
+      {Shape({1, 4, 7, 9, 9}), Shape({8, 4, 3, 3, 3}), {1, 1, 1},
+       {2, 1, 2}, {2, 2, 2}, 1},
+      {Shape({1, 4, 7, 9, 9}), Shape({4, 1, 3, 3, 3}), {1, 2, 1},
+       {2, 2, 1}, {2, 2, 1}, 4},
   };
   for (const Case &C : Cases) {
     Tensor X(C.X), W(C.W);
@@ -407,9 +428,12 @@ TEST(PackedGemm, ConvVariantsAgreeWithDirect) {
       std::vector<const Tensor *> Inputs{&X, &W};
       if (WithBias)
         Inputs.push_back(&Bias);
-      expectKernelPathIdentity(OpKind::Conv, Attrs, Inputs, Out);
+      expectKernelMatchesOracle(OpKind::Conv, Attrs, Inputs, Out, Counters,
+                                {32});
     }
   }
+  EXPECT_GT(Counters.PackedKernelCalls, 0);
+  EXPECT_GT(Counters.DirectKernelCalls, 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -446,40 +470,8 @@ TEST(PrepackStore, ConstantWeightsPackOnceAndHitAtRunTime) {
   EXPECT_EQ(Stats.Engine.PrepackMisses, 0);
   EXPECT_EQ(Stats.Engine.PackedKernelCalls, 2);
   EXPECT_EQ(Stats.Engine.DirectKernelCalls, 0);
-  // The relu between the two GEMMs runs as a fused epilogue inside the
-  // first GEMM's row loop, not as a standalone program step.
-  EXPECT_EQ(Stats.Engine.ProgramSteps, 0);
-  EXPECT_EQ(Stats.Engine.GemmEpilogueSteps, 1);
-  EXPECT_EQ(Stats.Engine.TreeWalkSteps, 0);
-}
-
-TEST(PrepackStore, EpilogueToggleRestoresStandaloneProgramSteps) {
-  CompileOptions Opt;
-  Opt.Codegen.FuseGemmEpilogue = false;
-  CompiledModel M = cantFail(compileModel(constantWeightModel(11), Opt));
-  ExecutionContext E(M);
-  std::vector<Tensor> Inputs = randomInputs(M.G, 5);
-  ExecutionStats Stats;
-  E.run(Inputs, &Stats);
-  EXPECT_GT(Stats.Engine.ProgramSteps, 0);
-  EXPECT_EQ(Stats.Engine.GemmEpilogueSteps, 0);
-}
-
-TEST(PrepackStore, DisabledEngineReportsLegacyPaths) {
-  CompileOptions Opt;
-  Opt.Codegen.UseCompiledPrograms = false;
-  Opt.Codegen.FuseGemmEpilogue = false;
-  Opt.Codegen.Kernels.UsePackedGemm = false;
-  CompiledModel M = cantFail(compileModel(constantWeightModel(11), Opt));
-  EXPECT_TRUE(M.Prepack.empty());
-  ExecutionContext E(M);
-  std::vector<Tensor> Inputs = randomInputs(M.G, 5);
-  ExecutionStats Stats;
-  E.run(Inputs, &Stats);
-  EXPECT_EQ(Stats.Engine.PackedKernelCalls, 0);
-  EXPECT_EQ(Stats.Engine.DirectKernelCalls, 2);
-  EXPECT_EQ(Stats.Engine.ProgramSteps, 0);
-  EXPECT_GT(Stats.Engine.TreeWalkSteps, 0);
+  // The relu between the two GEMMs runs as one program step.
+  EXPECT_EQ(Stats.Engine.ProgramSteps, 1);
 }
 
 TEST(PrepackStore, SessionMetricsAccumulateEngineCounters) {
@@ -494,8 +486,7 @@ TEST(PrepackStore, SessionMetricsAccumulateEngineCounters) {
   EXPECT_EQ(Metrics.RequestsServed, 3u);
   EXPECT_EQ(Metrics.Engine.PrepackHits, 6);
   EXPECT_EQ(Metrics.Engine.PackedKernelCalls, 6);
-  EXPECT_EQ(Metrics.Engine.GemmEpilogueSteps, 3);
-  EXPECT_EQ(Metrics.Engine.TreeWalkSteps, 0);
+  EXPECT_EQ(Metrics.Engine.ProgramSteps, 3);
 }
 
 TEST(PrepackStore, SaveLoadRebuildsPrepackAndExecutesBitIdentically) {
@@ -519,44 +510,6 @@ TEST(PrepackStore, SaveLoadRebuildsPrepackAndExecutesBitIdentically) {
   for (size_t I = 0; I < Before.size(); ++I)
     for (int64_t J = 0; J < Before[I].numElements(); ++J)
       ASSERT_EQ(Before[I].at(J), After[I].at(J));
-}
-
-//===----------------------------------------------------------------------===//
-// Zoo-wide engine bit-identity
-//===----------------------------------------------------------------------===//
-
-TEST(EngineZooSweep, ProgramAndPackedPathsAreBitIdenticalZooWide) {
-  // The acceptance gate of the engine overhaul: for every zoo model, the
-  // default engine (compiled programs + packed kernels) must produce
-  // exactly the bytes the legacy engine (tree-walk + naive loops)
-  // produces.
-  ExecutionOptions Seq;
-  Seq.Mode = ExecutionOptions::Schedule::Sequential;
-  for (const ModelZooEntry &Entry : modelZoo()) {
-    Graph G = Entry.Build();
-    std::vector<Tensor> Inputs = randomInputs(G, 42);
-
-    CompileOptions Legacy;
-    Legacy.Codegen.UseCompiledPrograms = false;
-    Legacy.Codegen.Kernels.UsePackedGemm = false;
-    CompiledModel MLegacy = cantFail(compileModel(Entry.Build(), Legacy));
-    ExecutionContext ELegacy(MLegacy, Seq);
-    std::vector<Tensor> Want = ELegacy.run(Inputs);
-
-    CompiledModel MDefault = cantFail(compileModel(std::move(G)));
-    ExecutionContext EDefault(MDefault, Seq);
-    ExecutionStats Stats;
-    std::vector<Tensor> Got = EDefault.run(Inputs, &Stats);
-
-    ASSERT_EQ(Want.size(), Got.size()) << Entry.Info.Name;
-    for (size_t I = 0; I < Want.size(); ++I)
-      for (int64_t J = 0; J < Want[I].numElements(); ++J)
-        ASSERT_EQ(Want[I].at(J), Got[I].at(J))
-            << Entry.Info.Name << " output " << I << " elem " << J;
-    // The default engine must actually be on the new paths.
-    EXPECT_GT(Stats.Engine.ProgramSteps, 0) << Entry.Info.Name;
-    EXPECT_EQ(Stats.Engine.TreeWalkSteps, 0) << Entry.Info.Name;
-  }
 }
 
 } // namespace

@@ -407,21 +407,6 @@ TEST(MatMulKernel, GemmTransposesAgree) {
   EXPECT_LT(maxAbsDiff(Plain, Trans), 1e-4f);
 }
 
-TEST(MatMulKernel, TiledAgreesWithReference) {
-  Rng R(37);
-  int64_t M = 33, N = 29, K = 41;
-  Tensor A(Shape({M, K})), B(Shape({K, N}));
-  fillRandom(A, R);
-  fillRandom(B, R);
-  Tensor Ref = runOp(OpKind::MatMul, {}, {&A, &B});
-  for (KernelConfig Config : {KernelConfig{8, 8, 8, 1}, KernelConfig{16, 64, 32, 2},
-                              KernelConfig{256, 256, 256, 4}}) {
-    Tensor Out(Shape({M, N}));
-    matmulTiled(A.data(), B.data(), Out.data(), M, N, K, Config);
-    EXPECT_LT(maxAbsDiff(Out, Ref), 1e-3f);
-  }
-}
-
 TEST(PoolKernel, MaxAndAverage) {
   Tensor X(Shape({1, 1, 4, 4}));
   fillIota(X); // 0..15

@@ -95,11 +95,13 @@ TEST_P(ZooInvariants, TransformerModelsCompileToFusedAttentionBlocks) {
 
 TEST_P(ZooInvariants, DifferentialMatrixHoldsWithFusedKernels) {
   // Zoo-wide enforcement of the fused configurations: every matrix config
-  // (fused attention/epilogues on, each dimension toggled off, the
-  // bit-identity pairings) must reproduce the unoptimized reference at
-  // its own tolerance on the real models, not just on fuzzed graphs. The
-  // transformer family is where the fused kernels actually fire; the rest
-  // of the zoo pins the carving as a no-op.
+  // (fused attention on, each dimension toggled off, the bit-identity
+  // pairings) must reproduce the reference interpreter at its own
+  // tolerance on the real models, not just on fuzzed graphs — the "exact"
+  // config at tolerance 0, so every engine path that promises bit-identity
+  // is pinned to the oracle on every zoo model. The transformer family is
+  // where the fused kernels actually fire; the rest of the zoo pins the
+  // carving as a no-op.
   testutil::expectMatchesReferenceUnderMatrix(entry().Build(),
                                               4000 + GetParam());
 }
