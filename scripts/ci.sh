@@ -29,6 +29,11 @@
 #                              # via the DNNFUSION_FORCE_KERNEL_LEVEL env
 #                              # hook (scalar, then avx2) — unsupported
 #                              # tiers clamp down, so this runs anywhere
+#   ./scripts/ci.sh bench      # benchmark build check: builds perfbench
+#                              # against the library and runs
+#                              # `perfbench/run.py --selftest`, so a
+#                              # library API change that breaks the
+#                              # benchmark fails CI
 #   ./scripts/ci.sh chaos      # fault-injection sweep: test_chaos and the
 #                              # serving resilience tests in Debug and
 #                              # under ThreadSanitizer, then the loadgen
@@ -129,6 +134,14 @@ for CONFIG in "${CONFIGS[@]}"; do
       DNNFUSION_FORCE_KERNEL_LEVEL="$LEVEL" \
         ctest --test-dir "$BUILD_DIR" -L smoke --output-on-failure -j "$JOBS"
     done
+    continue
+  fi
+  if [ "$CONFIG" = "bench" ]; then
+    echo "=== [bench] build perfbench + self-test ==="
+    # run.py configures and builds perfbench (Release, in .bench_build or
+    # $CARGO_TARGET_DIR), then runs its self-test, which proves every
+    # output check catches a perturbed output element. No timing gate.
+    python3 perfbench/run.py --selftest
     continue
   fi
   if [ "$CONFIG" = "chaos" ]; then

@@ -43,9 +43,6 @@ struct KernelConfig {
   /// well; the profitability gate declines shapes where tail padding
   /// would waste too much of the panel.
   int PackNR = 32;
-  /// Column-tile width of the conv im2col pass: output pixels packed and
-  /// multiplied per tile, bounding the packing scratch.
-  int PackColTile = 1024;
 
   /// Forced kernel-registry dispatch tier: -1 (ForceKernelAuto) resolves
   /// automatically (env hook, then the highest bit-exact tier the host

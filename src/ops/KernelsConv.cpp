@@ -42,9 +42,12 @@ struct ConvPackGeom {
   int64_t Tile = 0; ///< im2col columns packed per pass.
 };
 
+/// Column-tile width of the im2col pass: output pixels packed and
+/// multiplied per tile, bounding the packing scratch.
+constexpr int64_t ConvColTile = 1024;
+
 ConvPackGeom convPackGeom(const AttrMap &Attrs, const Shape &XShape,
-                          const Shape &WShape, const Shape &OutShape,
-                          const KernelConfig &Config) {
+                          const Shape &WShape, const Shape &OutShape) {
   ConvPackGeom G;
   int Sp = XShape.rank() - 2;
   if (Sp < 1 || Sp > 3)
@@ -78,8 +81,7 @@ ConvPackGeom convPackGeom(const AttrMap &Attrs, const Shape &XShape,
   // columns. Depthwise (Fg == 1) and tiny problems stay direct.
   if (G.Fg < 4 || G.K < 8 || G.OutSpatial < 8)
     return G;
-  G.Tile = std::min<int64_t>(G.OutSpatial,
-                             std::max(Config.PackColTile, 64));
+  G.Tile = std::min(G.OutSpatial, ConvColTile);
   G.Eligible = true;
   return G;
 }
@@ -410,7 +412,7 @@ int64_t dnnfusion::detail::convPackScratchElems(const AttrMap &Attrs,
                                                 const Shape &WShape,
                                                 const Shape &OutShape,
                                                 const KernelConfig &Config) {
-  ConvPackGeom G = convPackGeom(Attrs, XShape, WShape, OutShape, Config);
+  ConvPackGeom G = convPackGeom(Attrs, XShape, WShape, OutShape);
   return G.Eligible ? convPackElems(G, clampPackNR(Config.PackNR)) : 0;
 }
 
@@ -421,8 +423,8 @@ void dnnfusion::detail::runConvKernel(OpKind Kind, const AttrMap &Attrs,
   if (Kind == OpKind::ConvTranspose)
     return runConvTranspose(Attrs, Inputs, Out);
   DNNF_CHECK(Kind == OpKind::Conv, "unexpected kind in runConvKernel");
-  ConvPackGeom G = convPackGeom(Attrs, Inputs[0]->shape(),
-                                Inputs[1]->shape(), Out.shape(), Config);
+  ConvPackGeom G =
+      convPackGeom(Attrs, Inputs[0]->shape(), Inputs[1]->shape(), Out.shape());
   if (G.Eligible) {
     if (Rt.Counters)
       ++Rt.Counters->PackedKernelCalls;

@@ -39,11 +39,6 @@ ThreadPool &ExecutionContext::pool() const {
   return Opts.Pool ? *Opts.Pool : ThreadPool::global();
 }
 
-bool ExecutionContext::usesWavefront() const {
-  return Opts.Mode == ExecutionOptions::Schedule::Wavefront &&
-         M.Memory.WavefrontSafe;
-}
-
 const float *ExecutionContext::valuePtr(NodeId Id,
                                         const std::vector<Tensor> &Inputs) const {
   const Node &N = M.G.node(Id);
@@ -183,7 +178,7 @@ ExecutionContext::tryRun(const std::vector<Tensor> &Inputs,
     Counters = &CounterScratch;
   }
 
-  if (usesWavefront()) {
+  if (Opts.Mode == ExecutionOptions::Schedule::Wavefront) {
     // Checkpoint between levels: a level is the wavefront analogue of a
     // block boundary (its blocks are already in flight together), so the
     // abort latency bound is one level's latency.
@@ -201,26 +196,18 @@ ExecutionContext::tryRun(const std::vector<Tensor> &Inputs,
   } else {
     // Sequential walk on the calling thread. The lane still comes from
     // the pool so a run() inside a pool worker (e.g. a batched request)
-    // keeps its scratch distinct from other workers'. A wavefront-safe
-    // memory plan frees buffers at level granularity, so execution must
-    // follow level order (plan order is topological but not necessarily
-    // level-monotone); only a sequential-only plan matches plan order.
+    // keeps its scratch distinct from other workers'. The memory plan
+    // frees buffers at level granularity, so execution follows level
+    // order (plan order is topological but not necessarily
+    // level-monotone).
     unsigned Lane = pool().currentLane();
-    if (M.Memory.WavefrontSafe) {
-      for (const std::vector<int> &Level : M.Schedule.Levels) {
+    for (const std::vector<int> &Level : M.Schedule.Levels) {
+      if (checkpointShouldStop(Control))
+        break;
+      for (int BI : Level) {
         if (checkpointShouldStop(Control))
           break;
-        for (int BI : Level) {
-          if (checkpointShouldStop(Control))
-            break;
-          runBlock(static_cast<size_t>(BI), Lane, Inputs, PerBlock, Counters);
-        }
-      }
-    } else {
-      for (size_t BI = 0; BI < M.Blocks.size(); ++BI) {
-        if (checkpointShouldStop(Control))
-          break;
-        runBlock(BI, Lane, Inputs, PerBlock, Counters);
+        runBlock(static_cast<size_t>(BI), Lane, Inputs, PerBlock, Counters);
       }
     }
   }

@@ -12,12 +12,13 @@
 /// FLOPs, main-memory traffic, peak footprint, wall time). One model can
 /// therefore serve N contexts concurrently (see InferenceSession).
 ///
-/// run() dispatches the model's fusion blocks either strictly sequentially
-/// or wavefront-parallel: the compile-time BlockSchedule partitions the
-/// blocks into dependency levels, and every block within a level is pushed
-/// onto the thread pool as one task. Stats accumulate per block and reduce
-/// in block-index order afterwards, so counters are identical across pool
-/// sizes and schedules.
+/// run() walks the compile-time BlockSchedule, which partitions the fusion
+/// blocks into dependency levels, either strictly sequentially (level by
+/// level on the calling thread) or wavefront-parallel (every block within
+/// a level pushed onto the thread pool as one task). Both walk the same
+/// levels over the same level-granular memory plan. Stats accumulate per
+/// block and reduce in block-index order afterwards, so counters are
+/// identical across pool sizes and schedules.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,13 +60,13 @@ struct ExecutionStats {
 /// How an ExecutionContext walks the fusion blocks.
 struct ExecutionOptions {
   enum class Schedule {
-    /// Blocks run one after another on the calling thread, in plan order.
+    /// Blocks run one after another on the calling thread, level by
+    /// level of the model's BlockSchedule.
     Sequential,
     /// Blocks run level-by-level; blocks within a level dispatch across
     /// the thread pool. Bit-identical to Sequential (deterministic
-    /// per-element kernel slicing; disjoint arena ranges per level).
-    /// Requires a wavefront-safe memory plan — the context falls back to
-    /// Sequential when the model was compiled without one.
+    /// per-element kernel slicing; the memory plan gives blocks of one
+    /// level disjoint arena ranges).
     Wavefront,
   };
   Schedule Mode = Schedule::Wavefront;
@@ -127,8 +128,6 @@ public:
 
   const CompiledModel &model() const { return M; }
   const ExecutionOptions &options() const { return Opts; }
-  /// True when run() dispatches wavefronts (mode and memory plan agree).
-  bool usesWavefront() const;
 
 private:
   ThreadPool &pool() const;

@@ -9,10 +9,15 @@
 
 using namespace dnnfusion;
 
-int64_t
-dnnfusion::computePackScratchBytes(const Graph &G,
-                                   const std::vector<CompiledBlock> &Blocks,
-                                   const KernelConfig &Kernels) {
+namespace {
+
+/// Packing-scratch bytes the packed-GEMM engine may need for any single
+/// RefKernel step of \p Blocks under \p Kernels (steps whose packed
+/// operand is a constant weight are excluded — the prepack store serves
+/// them).
+int64_t computePackScratchBytes(const Graph &G,
+                                const std::vector<CompiledBlock> &Blocks,
+                                const KernelConfig &Kernels) {
   int64_t MaxElems = 0;
   for (const CompiledBlock &B : Blocks) {
     for (const CompiledStep &S : B.Steps) {
@@ -33,12 +38,13 @@ dnnfusion::computePackScratchBytes(const Graph &G,
   return MaxElems * static_cast<int64_t>(sizeof(float));
 }
 
+} // namespace
+
 MemoryPlan dnnfusion::planMemory(const Graph &G, const FusionPlan &Plan,
                                  const std::vector<CompiledBlock> &Blocks,
-                                 const BlockSchedule *Schedule,
+                                 const BlockSchedule &Schedule,
                                  const KernelConfig &Kernels) {
   MemoryPlan M;
-  M.WavefrontSafe = Schedule != nullptr;
   M.PackScratchBytes = computePackScratchBytes(G, Blocks, Kernels);
   size_t N = static_cast<size_t>(G.numNodes());
   M.ArenaOffsetOfNode.assign(N, -1);
@@ -59,26 +65,18 @@ MemoryPlan dnnfusion::planMemory(const Graph &G, const FusionPlan &Plan,
     }
   }
 
-  // Allocation time per block: the block's position in sequential mode, or
-  // its wavefront level in concurrency-aware mode (which widens every
-  // lifetime to whole levels, so same-level blocks never alias).
-  size_t NumBlocks = Plan.Blocks.size();
-  std::vector<int> TimeOfBlock(NumBlocks, 0);
-  int EndTime = static_cast<int>(NumBlocks);
-  for (size_t BI = 0; BI < NumBlocks; ++BI)
-    TimeOfBlock[BI] =
-        Schedule ? Schedule->LevelOfBlock[BI] : static_cast<int>(BI);
-  if (Schedule)
-    EndTime = static_cast<int>(Schedule->numLevels());
+  // Allocation time per block is its wavefront level: every lifetime
+  // widens to whole levels, so same-level blocks never alias.
+  int EndTime = static_cast<int>(Schedule.numLevels());
 
-  // Liveness of block outputs: last time a block reads them (graph outputs
-  // live forever).
+  // Liveness of block outputs: last level a block reads them (graph
+  // outputs live forever).
   std::vector<int> LastUse(N, -1);
-  for (size_t BI = 0; BI < NumBlocks; ++BI)
+  for (size_t BI = 0; BI < Plan.Blocks.size(); ++BI)
     for (NodeId Id : Plan.Blocks[BI].Members)
       for (NodeId In : G.node(Id).Inputs)
-        LastUse[static_cast<size_t>(In)] =
-            std::max(LastUse[static_cast<size_t>(In)], TimeOfBlock[BI]);
+        LastUse[static_cast<size_t>(In)] = std::max(
+            LastUse[static_cast<size_t>(In)], Schedule.LevelOfBlock[BI]);
   for (NodeId Out : G.outputs())
     LastUse[static_cast<size_t>(Out)] = EndTime;
 
@@ -110,36 +108,28 @@ MemoryPlan dnnfusion::planMemory(const Graph &G, const FusionPlan &Plan,
     return Offset;
   };
 
-  // Allocate in time order (plan order sequentially; level order under a
-  // schedule, where plan order need not be level-monotone).
-  std::vector<size_t> Order(NumBlocks);
-  for (size_t BI = 0; BI < NumBlocks; ++BI)
-    Order[BI] = BI;
-  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-    return TimeOfBlock[A] < TimeOfBlock[B];
-  });
-
-  int CurrentTime = -1;
-  for (size_t BI : Order) {
-    if (TimeOfBlock[BI] > CurrentTime) {
-      CurrentTime = TimeOfBlock[BI];
-      // Release buffers whose last consumer time has passed.
-      Live.erase(std::remove_if(Live.begin(), Live.end(),
-                                [&](const Allocation &A) {
-                                  return A.FreeAfterTime < CurrentTime;
-                                }),
-                 Live.end());
+  // Allocate level by level (plan order need not be level-monotone; each
+  // level lists its blocks in plan order).
+  for (int Level = 0; Level < EndTime; ++Level) {
+    // Release buffers whose last consumer level has passed.
+    Live.erase(std::remove_if(Live.begin(), Live.end(),
+                              [&](const Allocation &A) {
+                                return A.FreeAfterTime < Level;
+                              }),
+               Live.end());
+    for (int BI : Schedule.Levels[static_cast<size_t>(Level)]) {
+      for (NodeId Out : Plan.Blocks[static_cast<size_t>(BI)].Outputs) {
+        int Free = LastUse[static_cast<size_t>(Out)];
+        DNNF_CHECK(Free >= Level,
+                   "block output %d has no consumer and is not a graph "
+                   "output",
+                   Out);
+        M.ArenaOffsetOfNode[static_cast<size_t>(Out)] =
+            allocate(G.node(Out).outBytes(), Free);
+      }
+      M.ScratchBytes = std::max(
+          M.ScratchBytes, Blocks[static_cast<size_t>(BI)].scratchBytes());
     }
-    for (NodeId Out : Plan.Blocks[BI].Outputs) {
-      int Free = LastUse[static_cast<size_t>(Out)];
-      DNNF_CHECK(Free >= TimeOfBlock[BI],
-                 "block output %d has no consumer and is not a graph output",
-                 Out);
-      M.ArenaOffsetOfNode[static_cast<size_t>(Out)] =
-          allocate(G.node(Out).outBytes(), Free);
-    }
-    M.ScratchBytes =
-        std::max(M.ScratchBytes, Blocks[BI].scratchBytes());
   }
   return M;
 }

@@ -66,42 +66,23 @@ struct MemoryPlan {
   int64_t PackScratchBytes = 0;
   int64_t WeightBytes = 0;
   int64_t InputBytes = 0;
-
-  /// True when liveness was widened to wavefront granularity: buffers of
-  /// blocks in the same schedule level never alias, so the levels of
-  /// \c CompiledModel::Schedule may execute concurrently over one arena.
-  bool WavefrontSafe = false;
 };
 
-/// Plans buffers for \p Plan / \p Blocks over \p G.
+/// Plans buffers for \p Plan / \p Blocks over \p G under \p Schedule.
 ///
-/// Without \p Schedule, liveness is tracked at block granularity: a buffer
-/// is reusable as soon as the last block reading it has executed, assuming
-/// strictly sequential block execution — the tightest (Figure 8) footprint.
-///
-/// With \p Schedule, the planner runs in concurrency-aware mode: a
-/// buffer's lifetime is widened to whole wavefront levels (born at the
-/// start of its producer's level, freed after the last consumer's level),
-/// so blocks dispatched concurrently within one level can never read or
-/// write overlapping arena ranges. Scratch stays the largest per-block
-/// requirement; concurrent execution gives each worker lane its own
-/// scratch buffer of that size rather than widening it here.
-/// \p Kernels sizes the per-lane packing scratch (PackScratchBytes) for
-/// the packed-GEMM engine; the default config matches the default
-/// execution path.
+/// Liveness is tracked at wavefront granularity: a buffer's lifetime spans
+/// whole levels of \p Schedule (born at the start of its producer's level,
+/// freed after the last consumer's level), so blocks dispatched
+/// concurrently within one level never read or write overlapping arena
+/// ranges, and a sequential walk in level order is equally safe. Scratch
+/// stays the largest per-block requirement; concurrent execution gives
+/// each worker lane its own scratch buffer of that size rather than
+/// widening it here. \p Kernels sizes the per-lane packing scratch
+/// (PackScratchBytes) for the packed-GEMM engine.
 MemoryPlan planMemory(const Graph &G, const FusionPlan &Plan,
                       const std::vector<CompiledBlock> &Blocks,
-                      const BlockSchedule *Schedule = nullptr,
-                      const KernelConfig &Kernels = {});
-
-/// Packing-scratch bytes the packed-GEMM engine may need for any single
-/// RefKernel step of \p Blocks under \p Kernels (steps whose packed
-/// operand is a constant weight are excluded — the prepack store serves
-/// them). Shared by planMemory and the cache-hit path that re-adopts
-/// caller kernel knobs.
-int64_t computePackScratchBytes(const Graph &G,
-                                const std::vector<CompiledBlock> &Blocks,
-                                const KernelConfig &Kernels);
+                      const BlockSchedule &Schedule,
+                      const KernelConfig &Kernels);
 
 } // namespace dnnfusion
 

@@ -164,7 +164,7 @@ void buildPrepack(CompiledModel &M, const Graph &G) {
 
 /// Shared tail of compilation: schedule, codegen, memory planning, stat
 /// tables.
-void finishCompilation(CompiledModel &M, Graph &G, bool WavefrontSafe) {
+void finishCompilation(CompiledModel &M, Graph &G) {
   WallTimer Timer;
   M.Blocks.reserve(M.Plan.Blocks.size());
   for (const FusionBlock &B : M.Plan.Blocks)
@@ -173,9 +173,7 @@ void finishCompilation(CompiledModel &M, Graph &G, bool WavefrontSafe) {
   M.CodegenMs = Timer.millis();
 
   M.Schedule = computeBlockSchedule(G, M.Plan);
-  M.Memory = planMemory(G, M.Plan, M.Blocks,
-                        WavefrontSafe ? &M.Schedule : nullptr,
-                        M.Codegen.Kernels);
+  M.Memory = planMemory(G, M.Plan, M.Blocks, M.Schedule, M.Codegen.Kernels);
 
   for (size_t BI = 0; BI < M.Plan.Blocks.size(); ++BI) {
     const FusionBlock &B = M.Plan.Blocks[BI];
@@ -207,26 +205,20 @@ void finishCompilation(CompiledModel &M, Graph &G, bool WavefrontSafe) {
 
 Expected<CompiledModel>
 dnnfusion::rebuildCompiledModel(Graph G, FusionPlan Plan,
-                                const CodegenOptions &Codegen,
-                                bool WavefrontSafeMemory,
-                                bool GraphAlreadyValidated) {
-  if (!GraphAlreadyValidated)
-    if (Status S = G.validate(); !S.ok())
-      return S;
+                                const CodegenOptions &Codegen) {
   CompiledModel M;
   M.Plan = std::move(Plan);
   M.Codegen = Codegen;
-  // The plan is persisted input: verify() and the compilation tail
-  // diagnose inconsistencies through DNNF_CHECK, so trap them into a
-  // recoverable DataLoss error. Everything under the trap is pure
-  // computation (no locks, no non-RAII state).
+  // verify() and the compilation tail diagnose an inconsistent plan
+  // through DNNF_CHECK; trap them into a recoverable error. Everything
+  // under the trap is pure computation (no locks, no non-RAII state).
   try {
     ScopedFatalErrorTrap Trap;
     M.Plan.verify(G);
-    finishCompilation(M, G, WavefrontSafeMemory);
+    finishCompilation(M, G);
   } catch (const detail::TrappedFatalError &E) {
-    return Status::errorf(ErrorCode::DataLoss,
-                          "persisted plan is inconsistent with its graph: %s",
+    return Status::errorf(ErrorCode::InvalidArgument,
+                          "fusion plan is inconsistent with its graph: %s",
                           E.Message.c_str());
   }
   return M;
@@ -237,15 +229,7 @@ dnnfusion::compileModelWithPlan(Graph G, FusionPlan Plan,
                                 const CodegenOptions &Codegen) {
   if (Status S = G.validate(); !S.ok())
     return S;
-  CompiledModel M;
-  M.Plan = std::move(Plan);
-  M.Codegen = Codegen;
-  // External plans bypass the planner's own verification; the schedule and
-  // the concurrency-safe memory plan both assume a valid topological block
-  // order, so check it here rather than corrupting memory at run time.
-  M.Plan.verify(G);
-  finishCompilation(M, G, /*WavefrontSafe=*/true);
-  return M;
+  return rebuildCompiledModel(std::move(G), std::move(Plan), Codegen);
 }
 
 Expected<CompiledModel> dnnfusion::compileModel(Graph G,
@@ -267,71 +251,68 @@ Expected<CompiledModel> dnnfusion::compileModel(Graph G,
     CacheKey = CompilationCache::fingerprint(G, Options);
     // Transient read failures retry with backoff (counters under
     // "cache.lookup"); NotFound and DataLoss fall straight through to the
-    // recompile below, as ever.
+    // recompile below. The kernel knobs are not part of the artifact (they
+    // change neither plan nor graph, hence neither the key): the hit is
+    // rebuilt under the caller's.
     Expected<CompiledModel> Cached = retryExpected<CompiledModel>(
         "cache.lookup", Options.CacheRetry, [&]() -> Expected<CompiledModel> {
-          return CompilationCache(Options.CacheDir).lookup(CacheKey);
+          return CompilationCache(Options.CacheDir)
+              .lookup(CacheKey, Options.Codegen.Kernels);
         });
     if (Cached.ok()) {
       Cached->CacheHit = true;
-      // The kernel knobs are not part of the persisted artifact (they
-      // change neither plan nor graph, hence neither the cache key): adopt
-      // the caller's, and rebuild the derived prepack/scratch state only
-      // when they differ from the knobs the loader already built under
-      // (the defaults — kernel knobs are not in the OPTS section).
-      const KernelConfig &Want = Options.Codegen.Kernels;
-      const KernelConfig Loaded = Cached->Codegen.Kernels;
-      Cached->Codegen.Kernels = Want;
-      if (clampPackNR(Want.PackNR) != clampPackNR(Loaded.PackNR) ||
-          clampPackMR(Want.PackMR) != clampPackMR(Loaded.PackMR) ||
-          Want.PackColTile != Loaded.PackColTile) {
-        buildPrepack(*Cached, Cached->G);
-        Cached->Memory.PackScratchBytes =
-            computePackScratchBytes(Cached->G, Cached->Blocks, Want);
-      }
       return Cached;
     }
   }
 
-  CompiledModel M;
+  RewriteStats RewriteInfo;
+  PlannerStats PlannerInfo;
+  double RewriteMs = 0.0;
   WallTimer Timer;
 
   if (Options.EnableGraphRewriting) {
-    Timer.reset();
-    M.RewriteInfo = rewriteGraph(G, Options.Rewrite);
-    M.RewriteMs = Timer.millis();
+    RewriteInfo = rewriteGraph(G, Options.Rewrite);
+    RewriteMs = Timer.millis();
   }
 
   Timer.reset();
+  FusionPlan Plan;
   if (Options.EnableFusion) {
-    M.Plan = planFusion(G, Oracle, Options.Planner, &M.PlannerInfo);
+    Plan = planFusion(G, Oracle, Options.Planner, &PlannerInfo);
     if (Options.EnableOtherOpts)
-      mergeMovementBlocks(G, M.Plan);
+      mergeMovementBlocks(G, Plan);
     // Transformer carving: regroup matched attention / layernorm
     // subgraphs (which mapping-type analysis shatters across blocks) into
     // single blocks, which compileBlock then lowers to the fused
     // single-pass kernels.
     if (Options.Codegen.FuseAttention || Options.Codegen.FuseNorm)
-      carveTransformerGroups(G, M.Plan, Options.Codegen.FuseAttention,
+      carveTransformerGroups(G, Plan, Options.Codegen.FuseAttention,
                              Options.Codegen.FuseNorm);
   } else {
-    M.Plan = planNoFusion(G);
+    Plan = planNoFusion(G);
   }
-  M.FusionPlanMs = Timer.millis();
+  double FusionPlanMs = Timer.millis();
 
-  M.Codegen = Options.Codegen;
+  CodegenOptions Codegen = Options.Codegen;
   if (!Options.EnableOtherOpts) {
     // Figure 7's "Other" bundle off: data movement stays materialized and
     // shared subtrees are recomputed rather than cached.
-    M.Codegen.FoldDataMovement = false;
+    Codegen.FoldDataMovement = false;
   }
-  finishCompilation(M, G, Options.WavefrontSafeMemory);
+  Expected<CompiledModel> M =
+      rebuildCompiledModel(std::move(G), std::move(Plan), Codegen);
+  if (!M.ok())
+    return M;
+  M->RewriteInfo = RewriteInfo;
+  M->PlannerInfo = PlannerInfo;
+  M->RewriteMs = RewriteMs;
+  M->FusionPlanMs = FusionPlanMs;
   if (UseCache) {
     // Best-effort: a failed store (after its transient-retry budget,
     // counted under "cache.store") leaves the cache cold, nothing more.
     (void)retryStatus("cache.store", Options.CacheRetry, [&] {
       return CompilationCache(Options.CacheDir)
-          .store(CacheKey, M, Options.CacheMaxBytes);
+          .store(CacheKey, *M, Options.CacheMaxBytes);
     });
   }
   return M;

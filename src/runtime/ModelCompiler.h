@@ -10,6 +10,11 @@
 /// planning. Every optimization is independently switchable, which is what
 /// the Figure 7 breakdown and the ablation benches toggle.
 ///
+/// Everything after the fusion plan is one deterministic, trapped function
+/// of (validated graph, plan, codegen options) — rebuildCompiledModel —
+/// shared by compileModel's cold path, compileModelWithPlan and the
+/// artifact loader (deserializeCompiledModel, hence cache hits).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DNNFUSION_RUNTIME_MODELCOMPILER_H
@@ -36,11 +41,6 @@ struct CompileOptions {
   /// Intra-block data-movement elimination + inter-block movement sinking
   /// (paper §4.4.2; "Other" in Figure 7).
   bool EnableOtherOpts = true;
-  /// Plan arena liveness at wavefront granularity so blocks in the same
-  /// schedule level never alias and may execute concurrently (see
-  /// planMemory). Off = tightest sequential-only footprint; the execution
-  /// context then refuses wavefront dispatch for the model.
-  bool WavefrontSafeMemory = true;
 
   RewriteOptions Rewrite;
   PlannerOptions Planner;
@@ -84,9 +84,9 @@ struct CompiledModel {
   MemoryPlan Memory;
   CodegenOptions Codegen;
   /// Constant Many-to-Many weight operands packed once at compile time
-  /// (referenced by CompiledStep::PrepackIndex). Never serialized: rebuilt
-  /// deterministically on loadModel / cache hits, so the on-disk format is
-  /// unchanged.
+  /// (referenced by CompiledStep::PrepackIndex) under Codegen.Kernels.
+  /// Never serialized: rebuilt deterministically on loadModel / cache hits
+  /// under the loader's kernel knobs.
   std::vector<PackedOperand> Prepack;
 
   std::vector<NodeId> InputIds;
@@ -129,30 +129,23 @@ Expected<CompiledModel> compileModel(Graph G, const CompileOptions &Options = {}
 
 /// Compiles \p G under an externally produced fusion plan (the framework
 /// baselines of Tables 5/6: their pattern fusers decide the plan, this
-/// runtime executes it). No rewriting is applied. Memory is planned
-/// wavefront-safe, like compileModel's default. Graph validation errors
-/// are returned like compileModel's; an inconsistent *plan* over a valid
-/// graph is an internal invariant violation and still aborts.
+/// runtime executes it). No rewriting is applied. The graph is validated
+/// like compileModel's; then rebuildCompiledModel runs, so a plan
+/// inconsistent with the graph also comes back as a Status.
 Expected<CompiledModel> compileModelWithPlan(Graph G, FusionPlan Plan,
                                              const CodegenOptions &Codegen = {});
 
-/// Reassembles an executable CompiledModel from persisted parts: validates
-/// \p G, trap-verifies \p Plan against it (a bad plan over a valid graph
-/// comes back as a DataLoss Status here, not an abort — persisted plans
-/// are untrusted input), then reruns the deterministic compilation tail
-/// (per-block codegen, block schedule, memory planning, stats, signature).
-/// This is the loadModel path: everything expensive — rewrite search,
-/// fusion exploration, profiling — is skipped because its result IS the
-/// plan.
-///
-/// \p GraphAlreadyValidated skips the validate() pass for callers whose
-/// graph just came out of a validating gate (the artifact deserializer:
-/// Graph::fromParts validates in full) — set it ONLY in that case; the
-/// model load path would otherwise validate every graph twice.
+/// The deterministic compilation tail every path shares (compileModel's
+/// cold path, compileModelWithPlan, and the artifact loader): \p G must
+/// already have passed Graph::validate(). Verifies \p Plan against \p G,
+/// then runs per-block codegen, weight prepacking under Codegen.Kernels,
+/// the block schedule, memory planning, stats and the signature — all
+/// under a fatal-error trap, so a plan inconsistent with its graph returns
+/// an InvalidArgument Status instead of aborting. Everything expensive
+/// (rewrite search, fusion exploration, profiling) lies before it: its
+/// result IS the plan.
 Expected<CompiledModel> rebuildCompiledModel(Graph G, FusionPlan Plan,
-                                             const CodegenOptions &Codegen,
-                                             bool WavefrontSafeMemory,
-                                             bool GraphAlreadyValidated = false);
+                                             const CodegenOptions &Codegen);
 
 /// Merges pure data-movement blocks into their producer block so boundary
 /// Transpose/Reshape operators become index arithmetic on the producer's

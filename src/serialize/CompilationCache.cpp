@@ -62,7 +62,6 @@ std::string serializeOptionsForKey(const CompileOptions &O) {
   W.u8(O.EnableGraphRewriting ? 1 : 0);
   W.u8(O.EnableFusion ? 1 : 0);
   W.u8(O.EnableOtherOpts ? 1 : 0);
-  W.u8(O.WavefrontSafeMemory ? 1 : 0);
   W.u8(O.Rewrite.EnableAssociative ? 1 : 0);
   W.u8(O.Rewrite.EnableDistributive ? 1 : 0);
   W.u8(O.Rewrite.EnableCommutative ? 1 : 0);
@@ -106,9 +105,13 @@ std::string CompilationCache::pathForKey(uint64_t Key) const {
                       static_cast<unsigned long long>(Key));
 }
 
-Expected<CompiledModel> CompilationCache::lookup(uint64_t Key) const {
+Expected<CompiledModel>
+CompilationCache::lookup(uint64_t Key, const KernelConfig &Kernels) const {
   std::string Path = pathForKey(Key);
-  Expected<CompiledModel> M = loadModel(Path);
+  Expected<std::string> Bytes = readFileBytes(Path);
+  if (!Bytes.ok())
+    return Bytes.status();
+  Expected<CompiledModel> M = deserializeCompiledModel(*Bytes, Kernels);
   if (M.ok()) {
     // Refresh recency (nanosecond "now") so budgeted eviction is LRU.
     // Best-effort: a read-only cache directory still serves hits.

@@ -75,11 +75,14 @@ public:
   /// The artifact path for \p Key inside this cache directory.
   std::string pathForKey(uint64_t Key) const;
 
-  /// Loads the artifact for \p Key. NotFound when absent, DataLoss when
-  /// present but unusable — callers treat any error as a miss. A hit
-  /// refreshes the artifact's modification time, so the eviction in
-  /// store() is least-recently-used rather than first-in-first-out.
-  Expected<CompiledModel> lookup(uint64_t Key) const;
+  /// Loads the artifact for \p Key, rebuilt under the caller's kernel
+  /// knobs \p Kernels (see deserializeCompiledModel). NotFound when
+  /// absent, DataLoss when present but unusable — callers treat any error
+  /// as a miss. A hit refreshes the artifact's modification time, so the
+  /// eviction in store() is least-recently-used rather than
+  /// first-in-first-out.
+  Expected<CompiledModel> lookup(uint64_t Key,
+                                 const KernelConfig &Kernels = {}) const;
 
   /// Persists \p M under \p Key, creating the directory on demand.
   /// Best-effort by contract: a failure leaves the cache cold, not the

@@ -142,39 +142,30 @@ Status trailingBytes(uint32_t Tag, size_t N) {
 }
 
 /// OPTS payload: the codegen configuration the blocks must be rebuilt
-/// with, plus the memory-planning mode.
-struct DecodedOptions {
-  CodegenOptions Codegen;
-  bool WavefrontSafeMemory = true;
-};
-
-std::string serializeOptions(const CodegenOptions &Codegen,
-                             bool WavefrontSafeMemory) {
+/// with. The kernel knobs (Kernels) stay out: they are the loading host's
+/// choice.
+std::string serializeOptions(const CodegenOptions &Codegen) {
   ByteWriter W;
   W.u8(Codegen.FoldDataMovement ? 1 : 0);
   W.u8(Codegen.MaterializeShared ? 1 : 0);
   W.u32(static_cast<uint32_t>(Codegen.ChunkSize));
-  W.u8(WavefrontSafeMemory ? 1 : 0);
-  // Plan-affecting fusion toggles (format v2): the loader must recompile
-  // the persisted plan's blocks under the same toggles, or the rebuilt
-  // locals/scratch would disagree with the persisted memory plan. The
-  // kernel knobs (Kernels) stay out.
+  // Plan-affecting fusion toggles: the loader must recompile the persisted
+  // plan's blocks under the same toggles, or the rebuilt locals/scratch
+  // would disagree with the persisted memory plan.
   W.u8(Codegen.FuseAttention ? 1 : 0);
   W.u8(Codegen.FuseNorm ? 1 : 0);
   return W.take();
 }
 
-DecodedOptions readOptions(ByteReader &R) {
-  DecodedOptions O;
-  O.Codegen.FoldDataMovement = R.u8() != 0;
-  O.Codegen.MaterializeShared = R.u8() != 0;
-  O.Codegen.ChunkSize = static_cast<int>(R.u32());
-  O.WavefrontSafeMemory = R.u8() != 0;
-  O.Codegen.FuseAttention = R.u8() != 0;
-  O.Codegen.FuseNorm = R.u8() != 0;
-  if (R.ok() &&
-      (O.Codegen.ChunkSize < 1 || O.Codegen.ChunkSize > DftMaxChunk))
-    R.fail(formatString("chunk size %d outside [1, %d]", O.Codegen.ChunkSize,
+CodegenOptions readOptions(ByteReader &R) {
+  CodegenOptions O;
+  O.FoldDataMovement = R.u8() != 0;
+  O.MaterializeShared = R.u8() != 0;
+  O.ChunkSize = static_cast<int>(R.u32());
+  O.FuseAttention = R.u8() != 0;
+  O.FuseNorm = R.u8() != 0;
+  if (R.ok() && (O.ChunkSize < 1 || O.ChunkSize > DftMaxChunk))
+    R.fail(formatString("chunk size %d outside [1, %d]", O.ChunkSize,
                         DftMaxChunk));
   return O;
 }
@@ -207,14 +198,15 @@ std::string dnnfusion::serializeCompiledModel(const CompiledModel &M) {
   return buildContainer(
       ArtifactKind::CompiledModel,
       {{TagGraph, serializeGraph(M.G)},
-       {TagOptions, serializeOptions(M.Codegen, M.Memory.WavefrontSafe)},
+       {TagOptions, serializeOptions(M.Codegen)},
        {TagPlan, Plan.take()},
        {TagSchedule, Schedule.take()},
        {TagMemory, Memory.take()}});
 }
 
 Expected<CompiledModel>
-dnnfusion::deserializeCompiledModel(const std::string &Bytes) {
+dnnfusion::deserializeCompiledModel(const std::string &Bytes,
+                                    const KernelConfig &Kernels) {
   auto Sections = parseContainer(Bytes, ArtifactKind::CompiledModel);
   if (!Sections.ok())
     return Sections.status();
@@ -230,9 +222,10 @@ dnnfusion::deserializeCompiledModel(const std::string &Bytes) {
   if (!GraphR.atEnd())
     return trailingBytes(TagGraph, GraphR.remaining());
 
-  // Codegen options + memory mode.
+  // Codegen options, completed by the caller's kernel knobs.
   ByteReader OptsR = sectionReader(Bytes, (*Sections)[TagOptions]);
-  DecodedOptions Opts = readOptions(OptsR);
+  CodegenOptions Codegen = readOptions(OptsR);
+  Codegen.Kernels = Kernels;
   if (!OptsR.ok())
     return OptsR.status();
   if (!OptsR.atEnd())
@@ -257,14 +250,13 @@ dnnfusion::deserializeCompiledModel(const std::string &Bytes) {
                           E.Message.c_str());
   }
 
-  // Deterministic compilation tail: codegen, schedule, memory, stats.
-  // The graph was already validated by fromParts inside deserializeGraph,
-  // so the rebuild skips its own validate() pass.
-  Expected<CompiledModel> M = rebuildCompiledModel(
-      G.takeValue(), std::move(Plan), Opts.Codegen, Opts.WavefrontSafeMemory,
-      /*GraphAlreadyValidated=*/true);
+  // Deterministic compilation tail: codegen, prepack, schedule, memory,
+  // stats. The graph was validated by fromParts inside deserializeGraph.
+  Expected<CompiledModel> M =
+      rebuildCompiledModel(G.takeValue(), std::move(Plan), Codegen);
   if (!M.ok())
-    return M.status();
+    return Status::errorf(ErrorCode::DataLoss, "persisted plan rejected: %s",
+                          M.status().message().c_str());
 
   // Recompute-and-compare integrity: the persisted schedule and memory
   // plan must equal what the deterministic planners derive from the

@@ -41,7 +41,7 @@ namespace dnnfusion {
 /// docs/FORMAT.md for the policy). Also folded into compilation-cache
 /// keys so a version bump cold-starts the cache instead of tripping on
 /// every entry.
-inline constexpr uint32_t SerializedFormatVersion = 2;
+inline constexpr uint32_t SerializedFormatVersion = 3;
 
 /// What a container file holds.
 enum class ArtifactKind : uint32_t {
@@ -62,11 +62,16 @@ Expected<Graph> deserializeGraphArtifact(const std::string &Bytes);
 /// Encodes \p M as a compiled-model artifact.
 std::string serializeCompiledModel(const CompiledModel &M);
 
-/// Decodes a compiled-model artifact: validates the graph, trap-verifies
-/// the plan, reruns deterministic codegen/schedule/memory planning, and
-/// cross-checks the recomputed schedule and memory plan against the
-/// persisted sections (recompute-and-compare integrity).
-Expected<CompiledModel> deserializeCompiledModel(const std::string &Bytes);
+/// Decodes a compiled-model artifact: validates the graph (once, in
+/// Graph::fromParts), then rebuildCompiledModel reruns the deterministic
+/// tail under the persisted codegen options and the caller's kernel knobs
+/// \p Kernels (never persisted: prepack and packing scratch follow the
+/// loading host), and the recomputed schedule and memory plan are
+/// cross-checked against the persisted sections (recompute-and-compare
+/// integrity).
+Expected<CompiledModel>
+deserializeCompiledModel(const std::string &Bytes,
+                         const KernelConfig &Kernels = {});
 
 //===----------------------------------------------------------------------===//
 // File entry points (exported through the dnnfusion.h facade)

@@ -98,7 +98,6 @@ void dnnfusion::serializeMemoryPlan(const MemoryPlan &M, ByteWriter &W) {
   W.i64(M.ScratchBytes);
   W.i64(M.WeightBytes);
   W.i64(M.InputBytes);
-  W.u8(M.WavefrontSafe ? 1 : 0);
 }
 
 MemoryPlan dnnfusion::readMemoryPlan(ByteReader &R) {
@@ -110,7 +109,6 @@ MemoryPlan dnnfusion::readMemoryPlan(ByteReader &R) {
   M.ScratchBytes = R.i64();
   M.WeightBytes = R.i64();
   M.InputBytes = R.i64();
-  M.WavefrontSafe = R.u8() != 0;
   return M;
 }
 
@@ -126,6 +124,5 @@ bool dnnfusion::memoryPlansEqual(const MemoryPlan &A, const MemoryPlan &B) {
          A.InputOffsetOfNode == B.InputOffsetOfNode &&
          A.WeightOffsetOfNode == B.WeightOffsetOfNode &&
          A.ArenaBytes == B.ArenaBytes && A.ScratchBytes == B.ScratchBytes &&
-         A.WeightBytes == B.WeightBytes && A.InputBytes == B.InputBytes &&
-         A.WavefrontSafe == B.WavefrontSafe;
+         A.WeightBytes == B.WeightBytes && A.InputBytes == B.InputBytes;
 }

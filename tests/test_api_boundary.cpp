@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace dnnfusion;
 
 namespace {
@@ -124,6 +126,33 @@ TEST(CompileBoundary, CompileModelWithPlanValidatesTheGraphToo) {
   Expected<CompiledModel> M = compileModelWithPlan(B.take(), FusionPlan());
   ASSERT_FALSE(M.ok());
   EXPECT_EQ(M.status().code(), ErrorCode::InvalidGraph);
+}
+
+TEST(CompileBoundary, CompileModelWithPlanRejectsAnInconsistentPlan) {
+  // A plan that covers no operator, and one whose blocks run in reverse
+  // dependency order: both come back as a Status, and the process (this
+  // test binary) keeps running.
+  Expected<CompiledModel> Empty = compileModelWithPlan(smallModel(), FusionPlan());
+  ASSERT_FALSE(Empty.ok());
+  EXPECT_EQ(Empty.status().code(), ErrorCode::InvalidArgument);
+  EXPECT_NE(Empty.status().message().find("not covered"), std::string::npos)
+      << Empty.status().toString();
+
+  Graph G = smallModel();
+  FusionPlan Reversed = planNoFusion(G);
+  ASSERT_GT(Reversed.Blocks.size(), 1u);
+  std::reverse(Reversed.Blocks.begin(), Reversed.Blocks.end());
+  Expected<CompiledModel> Backwards =
+      compileModelWithPlan(std::move(G), std::move(Reversed));
+  ASSERT_FALSE(Backwards.ok());
+  EXPECT_EQ(Backwards.status().code(), ErrorCode::InvalidArgument);
+
+  // The consistent plan over the same graph still compiles.
+  Graph Good = smallModel();
+  FusionPlan Plan = planNoFusion(Good);
+  Expected<CompiledModel> M =
+      compileModelWithPlan(std::move(Good), std::move(Plan));
+  ASSERT_TRUE(M.ok()) << M.status().toString();
 }
 
 TEST(CompileBoundary, ValidGraphStillCompiles) {

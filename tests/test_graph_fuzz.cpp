@@ -264,8 +264,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MalformedRequestFuzz,
 // The serialization dimension
 //===----------------------------------------------------------------------===//
 
-/// Every fuzzed graph must round-trip through the binary and text
-/// serializers exactly, its compiled artifact must restore to a
+/// Every fuzzed graph must round-trip through the binary serializer
+/// exactly, its compiled artifact must restore to a
 /// bit-identical executable, and a seed-derived corruption sweep over the
 /// serialized blob must reject with a Status on every sample — an abort
 /// kills the binary, which is the detector.

@@ -664,4 +664,48 @@ TEST_F(CacheRedispatch, KernelKnobsExcludedFromKeyAndReResolvedOnLoad) {
   EXPECT_FALSE(Diff.has_value()) << *Diff;
 }
 
+TEST_F(CacheRedispatch, HitUnderNonDefaultPackingKnobsMatchesColdCompile) {
+  // Store under the default knobs, then hit under non-default ones: the
+  // weight prepack and the packing scratch must be built for the caller's
+  // knobs, exactly as a cold compile under them builds them. TinyBERT
+  // exercises the prepack, MobileNetV1-SSD a packing scratch that depends
+  // on the panel width.
+  size_t Packs = 0;
+  bool ScratchDependsOnKnobs = false;
+  for (const char *Name : {"TinyBERT", "MobileNetV1-SSD"}) {
+    SCOPED_TRACE(Name);
+    CompileOptions Knobs;
+    Knobs.Codegen.Kernels.PackNR = 8;
+    Knobs.Codegen.Kernels.PackMR = 4;
+    CompiledModel Cold = cantFail(compileModel(buildModel(Name), Knobs));
+
+    CompileOptions Default;
+    Default.CacheDir = Dir;
+    CompiledModel Stored = cantFail(compileModel(buildModel(Name), Default));
+    ASSERT_FALSE(Stored.CacheHit);
+    Knobs.CacheDir = Dir;
+    CompiledModel Hit = cantFail(compileModel(buildModel(Name), Knobs));
+    ASSERT_TRUE(Hit.CacheHit);
+    EXPECT_EQ(Hit.Codegen.Kernels.PackNR, 8);
+    EXPECT_EQ(Hit.Codegen.Kernels.PackMR, 4);
+
+    EXPECT_EQ(Hit.Prepack.size(), Cold.Prepack.size());
+    for (const PackedOperand &P : Hit.Prepack)
+      EXPECT_EQ(P.NR, 8);
+    Packs += Hit.Prepack.size();
+    EXPECT_EQ(Hit.Memory.PackScratchBytes, Cold.Memory.PackScratchBytes);
+    ScratchDependsOnKnobs |=
+        Hit.Memory.PackScratchBytes != Stored.Memory.PackScratchBytes;
+
+    std::vector<Tensor> Inputs = randomInputs(Cold.G, 41);
+    ExecutionContext ECold(Cold), EHit(Hit);
+    std::optional<std::string> Diff =
+        compareOutputs(ECold.run(Inputs), EHit.run(Inputs), 0.0f, 0.0f);
+    EXPECT_FALSE(Diff.has_value()) << *Diff;
+  }
+  // Both knob-dependent properties had something to show.
+  EXPECT_GT(Packs, 0u);
+  EXPECT_TRUE(ScratchDependsOnKnobs);
+}
+
 } // namespace

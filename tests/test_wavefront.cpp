@@ -100,12 +100,11 @@ TEST(BlockSchedule, WholeZooSchedulesVerify) {
 //===----------------------------------------------------------------------===//
 
 TEST(MemoryPlanner, SameLevelBuffersNeverAlias) {
-  // In wavefront-safe mode, outputs of blocks on the same level (plus any
-  // buffer still live into that level) must occupy disjoint arena ranges.
+  // Outputs of blocks on the same level (plus any buffer still live into
+  // that level) must occupy disjoint arena ranges.
   for (uint64_t Seed : {11ull, 12ull, 13ull, 14ull}) {
     FuzzSpec Spec = generateSpec(Seed);
     CompiledModel M = cantFail(compileModel(buildGraph(Spec), CompileOptions()));
-    ASSERT_TRUE(M.Memory.WavefrontSafe);
     size_t N = static_cast<size_t>(M.G.numNodes());
     // Level-granular lifetime per arena buffer.
     std::vector<int> BornLevel(N, -1), DiesLevel(N, -1);
@@ -143,35 +142,6 @@ TEST(MemoryPlanner, SameLevelBuffersNeverAlias) {
   }
 }
 
-TEST(MemoryPlanner, SequentialOnlyModeKeepsTighterOrEqualArena) {
-  CompileOptions Wavefront, SequentialOnly;
-  SequentialOnly.WavefrontSafeMemory = false;
-  for (uint64_t Seed : {21ull, 22ull}) {
-    FuzzSpec Spec = generateSpec(Seed);
-    CompiledModel MW = cantFail(compileModel(buildGraph(Spec), Wavefront));
-    CompiledModel MS = cantFail(compileModel(buildGraph(Spec), SequentialOnly));
-    EXPECT_TRUE(MW.Memory.WavefrontSafe);
-    EXPECT_FALSE(MS.Memory.WavefrontSafe);
-    // Widening lifetimes can only grow the footprint.
-    EXPECT_LE(MS.Memory.ArenaBytes, MW.Memory.ArenaBytes);
-  }
-}
-
-TEST(ExecutionContext, SequentialOnlyModelFallsBackFromWavefront) {
-  CompileOptions Opt;
-  Opt.WavefrontSafeMemory = false;
-  CompiledModel M = cantFail(compileModel(diamondGraph(3), Opt));
-  ExecutionContext Wave(M); // Requests wavefront...
-  EXPECT_FALSE(Wave.usesWavefront()); // ...but the plan cannot support it.
-  std::vector<Tensor> Inputs = randomInputs(M.G, 5);
-  std::vector<Tensor> A = Wave.run(Inputs);
-  CompiledModel MW = cantFail(compileModel(diamondGraph(3), CompileOptions()));
-  std::vector<Tensor> B = ExecutionContext(MW).run(Inputs);
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t I = 0; I < A.size(); ++I)
-    EXPECT_EQ(maxAbsDiff(A[I], B[I]), 0.0f);
-}
-
 //===----------------------------------------------------------------------===//
 // Wavefront execution: bit-identical to sequential
 //===----------------------------------------------------------------------===//
@@ -182,7 +152,6 @@ TEST(Wavefront, BitIdenticalToSequentialOnWholeZoo) {
     std::vector<Tensor> Inputs = randomInputs(M.G, 17);
     ExecutionContext Seq(M, sequentialExec());
     ExecutionContext Wave(M);
-    ASSERT_TRUE(Wave.usesWavefront()) << E.Info.Name;
     std::vector<Tensor> A = Seq.run(Inputs);
     std::vector<Tensor> B = Wave.run(Inputs);
     ASSERT_EQ(A.size(), B.size()) << E.Info.Name;
